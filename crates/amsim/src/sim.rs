@@ -2,6 +2,7 @@ use std::collections::BTreeMap;
 use std::error::Error;
 use std::fmt;
 use std::sync::Arc;
+use std::time::Instant;
 
 use amsvp_core::acquire::acquire;
 use amsvp_core::{conservative_relations, AbstractError, OutputSpec};
@@ -660,6 +661,7 @@ impl<'m> Simulation<'m> {
             self.step_control,
             self.outputs,
             self.solver,
+            &Obs::none(),
         )?);
         let tol = model.newton_tol;
         let sc = model.step_control;
@@ -673,7 +675,11 @@ impl<'m> Simulation<'m> {
     /// at the zero state) is reported to the attached collector as
     /// `amsim.jacobian.builds` / `amsim.lu.factorizations`, so a sweep of
     /// N instances over one model reports the same compile counters as a
-    /// single run.
+    /// single run. Its wall time is split into two timers:
+    /// `amsim.compile.lower` (acquisition, discretization, residual and
+    /// Jacobian programs, the zero-state stamp) and
+    /// `amsim.compile.analyze` (ordering, symbolic analysis and the first
+    /// numeric factorization).
     ///
     /// # Errors
     ///
@@ -686,6 +692,7 @@ impl<'m> Simulation<'m> {
             self.step_control,
             self.outputs,
             self.solver,
+            &self.obs,
         )?;
         if self.obs.enabled() {
             if model.init_lu.is_some() {
@@ -887,6 +894,7 @@ fn compile_model(
     step_control: Option<StepControl>,
     output_specs: Vec<OutputSpec>,
     solver: SolverKind,
+    obs: &Obs,
 ) -> Result<CompiledModel, AmsError> {
     if !(dt.is_finite() && dt > 0.0) {
         return Err(AmsError::InvalidTimeStep { dt });
@@ -897,6 +905,7 @@ fn compile_model(
     if let Some(sc) = &step_control {
         sc.validate(dt)?;
     }
+    let lower_start = obs.enabled().then(Instant::now);
     let model = acquire(module)?;
     let mut zeros: Vec<QExpr> = conservative_relations(&model)?
         .into_iter()
@@ -1050,7 +1059,14 @@ fn compile_model(
     // backend is part of the compiled artifact, so every instance and
     // batch lane of this model solves the same way.
     let backend = solver.resolve(n, jt.pattern().len());
+    let analyze_start = lower_start.map(|t0| {
+        obs.time("amsim.compile.lower", t0.elapsed().as_secs_f64());
+        Instant::now()
+    });
     let init_lu = AnyLu::analyze_with(backend, &jt).ok();
+    if let Some(t0) = analyze_start {
+        obs.time("amsim.compile.analyze", t0.elapsed().as_secs_f64());
+    }
 
     // Stable content hash over everything that determines the model's
     // numerics: the discretized equations, the slot layout, the solve

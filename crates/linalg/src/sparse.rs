@@ -599,11 +599,19 @@ fn first_non_finite_raw(a: &Triplets) -> Option<(usize, usize)> {
         .map(|(i, j, _)| (i, j))
 }
 
-/// Textbook minimum-degree ordering on the pattern of `A + Aᵀ` (no
-/// supernodes or aggressive absorption — circuit matrices at VP scale do
-/// not need them). Writes the column order into `q`: position `j`
-/// eliminates original column `q[j]`. Deterministic: ties break toward the
-/// smallest index.
+/// Exact minimum-degree ordering on the pattern of `A + Aᵀ` (no
+/// supernodes, aggressive absorption or approximate degrees — circuit
+/// matrices at VP scale do not need them). Each step eliminates the live
+/// node of smallest degree in the current elimination graph, ties toward
+/// the smallest index, and joins its neighbors into a clique. Writes the
+/// column order into `q`: position `j` eliminates original column `q[j]`.
+///
+/// The elimination graph is held explicitly, one neighbor set per live
+/// node (unsorted, duplicate-free), so memory is O(n + Σ degree). A
+/// neighbor's new set is a union built over a generation-stamped marker
+/// array into one reused scratch list that is then swapped with the old
+/// set: no sort and no fresh allocation per step. An eliminated node's
+/// set is released at once. Selection is a linear scan.
 fn min_degree_order(n: usize, coords: &[(usize, usize)], q: &mut Vec<usize>) {
     q.clear();
     let mut adj: Vec<Vec<usize>> = vec![Vec::new(); n];
@@ -613,33 +621,38 @@ fn min_degree_order(n: usize, coords: &[(usize, usize)], q: &mut Vec<usize>) {
             adj[j].push(i);
         }
     }
+    // `mark[w] == stamp`: `w` is excluded from (or already in) the set
+    // being built under the current stamp.
+    let mut mark = vec![0usize; n];
+    let mut stamp = 0;
     for list in &mut adj {
-        list.sort_unstable();
-        list.dedup();
+        stamp += 1;
+        list.retain(|&w| std::mem::replace(&mut mark[w], stamp) != stamp);
     }
-    let mut eliminated = vec![false; n];
+    // Degree of each live node; `usize::MAX` marks an eliminated one.
     let mut degree: Vec<usize> = adj.iter().map(Vec::len).collect();
+    let mut merged = Vec::new();
     for _ in 0..n {
         let v = (0..n)
-            .filter(|&v| !eliminated[v])
             .min_by_key(|&v| (degree[v], v))
-            .expect("one uneliminated node remains per step");
+            .expect("one live node remains per step");
         q.push(v);
-        eliminated[v] = true;
-        // Clique the uneliminated neighbors of v, then refresh their
-        // adjacency (drop eliminated nodes and duplicates) and degrees.
-        let nbrs: Vec<usize> = adj[v].iter().copied().filter(|&u| !eliminated[u]).collect();
+        degree[v] = usize::MAX;
+        // Live sets hold live nodes only (plus `v`, until this step ends),
+        // so each neighbor's new set is its old one minus `v` and the
+        // clique, plus the clique minus itself.
+        let nbrs = std::mem::take(&mut adj[v]);
+        stamp += 1;
+        mark[v] = stamp;
         for &u in &nbrs {
-            let mut merged: Vec<usize> = adj[u]
-                .iter()
-                .copied()
-                .filter(|&w| !eliminated[w])
-                .chain(nbrs.iter().copied().filter(|&w| w != u))
-                .collect();
-            merged.sort_unstable();
-            merged.dedup();
+            mark[u] = stamp;
+        }
+        for &u in &nbrs {
+            merged.clear();
+            merged.extend(adj[u].iter().copied().filter(|&w| mark[w] != stamp));
+            merged.extend(nbrs.iter().copied().filter(|&w| w != u));
             degree[u] = merged.len();
-            adj[u] = merged;
+            std::mem::swap(&mut adj[u], &mut merged);
         }
     }
 }
@@ -883,6 +896,133 @@ mod tests {
                     "lane {l} row {i}"
                 );
             }
+        }
+    }
+
+    /// The textbook ordering `min_degree_order` must reproduce exactly:
+    /// sorted adjacency lists, re-collected, re-sorted and re-deduplicated
+    /// for every neighbor of every eliminated node.
+    fn min_degree_order_textbook(n: usize, coords: &[(usize, usize)]) -> Vec<usize> {
+        let mut q = Vec::new();
+        let mut adj: Vec<Vec<usize>> = vec![Vec::new(); n];
+        for &(i, j) in coords {
+            if i != j {
+                adj[i].push(j);
+                adj[j].push(i);
+            }
+        }
+        for list in &mut adj {
+            list.sort_unstable();
+            list.dedup();
+        }
+        let mut eliminated = vec![false; n];
+        let mut degree: Vec<usize> = adj.iter().map(Vec::len).collect();
+        for _ in 0..n {
+            let v = (0..n)
+                .filter(|&v| !eliminated[v])
+                .min_by_key(|&v| (degree[v], v))
+                .expect("one uneliminated node remains per step");
+            q.push(v);
+            eliminated[v] = true;
+            let nbrs: Vec<usize> = adj[v].iter().copied().filter(|&u| !eliminated[u]).collect();
+            for &u in &nbrs {
+                let mut merged: Vec<usize> = adj[u]
+                    .iter()
+                    .copied()
+                    .filter(|&w| !eliminated[w])
+                    .chain(nbrs.iter().copied().filter(|&w| w != u))
+                    .collect();
+                merged.sort_unstable();
+                merged.dedup();
+                degree[u] = merged.len();
+                adj[u] = merged;
+            }
+        }
+        q
+    }
+
+    /// Deterministic xorshift64* generator.
+    struct XorShift(u64);
+
+    impl XorShift {
+        fn below(&mut self, bound: usize) -> usize {
+            let mut x = self.0;
+            x ^= x >> 12;
+            x ^= x << 25;
+            x ^= x >> 27;
+            self.0 = x;
+            (x.wrapping_mul(0x2545_f491_4f6c_dd1d) >> 11) as usize % bound.max(1)
+        }
+    }
+
+    /// A random `n × n` coordinate pattern of one of five shapes, chosen
+    /// by `shape`: asymmetric scatter, scatter with duplicate pushes,
+    /// diagonal only, disconnected blocks, or scatter plus a dense hub
+    /// row or column.
+    fn random_pattern(rng: &mut XorShift, shape: usize, n: usize) -> Vec<(usize, usize)> {
+        let mut c = Vec::new();
+        if n == 0 {
+            return c;
+        }
+        let scatter = |rng: &mut XorShift, c: &mut Vec<_>, per_row: usize| {
+            for _ in 0..n * per_row / 2 {
+                c.push((rng.below(n), rng.below(n)));
+            }
+        };
+        match shape {
+            0 => {
+                let per_row = 1 + rng.below(3);
+                scatter(rng, &mut c, per_row);
+            }
+            1 => {
+                scatter(rng, &mut c, 2);
+                for k in 0..c.len() {
+                    if rng.below(3) == 0 {
+                        c.push(c[k]);
+                    }
+                }
+                c.extend((0..n).flat_map(|i| [(i, i), (i, i)]));
+            }
+            2 => c.extend((0..n).map(|i| (i, i))),
+            3 => {
+                let mut start = 0;
+                while start < n {
+                    let len = (1 + rng.below(24)).min(n - start);
+                    for i in start..start + len {
+                        c.push((i, i));
+                        c.push((i, start + rng.below(len)));
+                        c.push((start + rng.below(len), i));
+                    }
+                    start += len;
+                }
+            }
+            _ => {
+                scatter(rng, &mut c, 1);
+                let hub = rng.below(n);
+                let row = rng.below(2) == 0;
+                c.extend((0..n).map(|k| if row { (hub, k) } else { (k, hub) }));
+            }
+        }
+        c
+    }
+
+    #[test]
+    fn min_degree_order_matches_textbook_oracle() {
+        let mut rng = XorShift(0x9E37_79B9_7F4A_7C15);
+        let mut q = Vec::new();
+        for case in 0..240 {
+            let n = match case {
+                0..=4 => case,
+                _ => rng.below(301),
+            };
+            let coords = random_pattern(&mut rng, case % 5, n);
+            min_degree_order(n, &coords, &mut q);
+            assert_eq!(
+                q,
+                min_degree_order_textbook(n, &coords),
+                "case {case}: shape {}, n = {n}",
+                case % 5
+            );
         }
     }
 

@@ -42,7 +42,10 @@
 //! All server activity is observable through `serve.*` counters
 //! (`serve.jobs.{accepted,rejected,completed,failed}`,
 //! `serve.cache.{hits,misses,evictions}`, `serve.stream.records`, and
-//! the `serve.job` wall-time histogram); per-job sweep reports are
+//! the `serve.job` wall-time histogram). Cache-miss compiles report into
+//! the same server-wide collector, `amsim.compile.{lower,analyze}` phase
+//! timers included, and never into a job's streamed counters; per-job
+//! sweep reports are
 //! additionally folded into the server report under a `jobs.` prefix via
 //! [`obs::Report::merge_prefixed`].
 

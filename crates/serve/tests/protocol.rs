@@ -149,6 +149,42 @@ fn pipelined_requests_are_answered_in_order() {
     server.shutdown_within(Duration::from_secs(10));
 }
 
+/// A cache-miss compile times its phases into the server-wide report
+/// behind `/v1/stats`; the job's own stream stays timer-free, so it
+/// remains a pure function of the request.
+#[test]
+fn compile_phase_timers_reach_stats_not_the_job_stream() {
+    let server = Server::start(ServeConfig::default()).expect("server starts");
+    let mut b = JsonBuf::new();
+    b.begin_obj()
+        .str_field("module", &rc_ladder(1))
+        .f64_field("dt", 1e-6)
+        .str_field("output", "V(out)");
+    b.begin_arr("scenarios");
+    b.begin_obj()
+        .str_field("name", "hold")
+        .u64_field("steps", 10)
+        .key("stim");
+    b.begin_obj()
+        .str_field("kind", "const")
+        .f64_field("value", 0.5)
+        .end_obj();
+    b.end_obj();
+    b.end_arr();
+    b.end_obj();
+    let job = common::post(server.local_addr(), "/v1/jobs", &b.into_string());
+    assert_eq!(job.status, 200, "{}", job.body);
+    assert!(!job.body.contains("amsim.compile"), "{}", job.body);
+    let stats = common::get(server.local_addr(), "/v1/stats");
+    for phase in ["amsim.compile.lower", "amsim.compile.analyze"] {
+        assert!(stats.body.contains(phase), "{phase}: {}", stats.body);
+    }
+    let report = server.shutdown();
+    for phase in ["amsim.compile.lower", "amsim.compile.analyze"] {
+        assert_eq!(report.timers[phase].count, 1, "{phase}");
+    }
+}
+
 #[test]
 fn disconnect_mid_stream_is_absorbed() {
     // Default limits: the 48-scenario submission is a legitimate job,

@@ -320,9 +320,11 @@ fn factorization_backends_agree_on_table1_circuits() {
 /// Dense-vs-sparse differential on the RC ladder family, where the
 /// sparse backend is the one `SolverKind::Auto` actually selects. The
 /// release build runs the paper-scale RC500 (2500 unknowns); the debug
-/// build substitutes an 80-stage ladder because symbolic compilation of
-/// RC500 — unrelated to the factorization backend — dominates unoptimized
-/// runtime. `V(n3)` near the driven end responds well within the window,
+/// build substitutes an 80-stage ladder because the `Dense` leg factors a
+/// 2500 × 2500 matrix, a cubic cost that dominates unoptimized runtime.
+/// (The sparse leg's compile, mostly its exact minimum-degree ordering,
+/// grows about 6× per doubling of the ladder and also weighs on a debug
+/// RC500.) `V(n3)` near the driven end responds well within the window,
 /// making the comparison numerically meaningful.
 #[test]
 fn factorization_backends_agree_on_rc_ladder() {
@@ -361,6 +363,29 @@ fn factorization_backends_agree_on_rc_ladder() {
         hi - lo > 0.1,
         "RC{stages}: V(n3) nearly flat ({lo}..{hi}); comparison is vacuous"
     );
+}
+
+/// The sparse column order is part of the numerics: a different
+/// minimum-degree order changes the fill and the pivot sequence, hence
+/// every sparse waveform bit. RC250's L+U fill pins the order, and the
+/// compile reports one analysis plus its two phase timers.
+#[test]
+fn rc250_compile_pins_sparse_fill() {
+    let module = vams_parser::parse_module(&rc_ladder(250)).unwrap();
+    let obs = obs::Obs::recording();
+    let model = Simulation::new(&module)
+        .dt(1e-6)
+        .output("V(n3)")
+        .collector(obs.clone())
+        .compile()
+        .unwrap();
+    assert_eq!(model.solver_kind(), SolverKind::Sparse);
+    let report = obs.report().unwrap();
+    assert_eq!(report.counter("linalg.sparse.fill"), 23_692);
+    assert_eq!(report.counter("linalg.sparse.analyze"), 1);
+    for phase in ["amsim.compile.lower", "amsim.compile.analyze"] {
+        assert_eq!(report.timers[phase].count, 1, "{phase}");
+    }
 }
 
 /// The ELN solver's backend seam: forced sparse and dense factorization
