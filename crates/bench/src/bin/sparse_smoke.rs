@@ -18,7 +18,10 @@
 //!   nonlinear circuit that rebuilds its Jacobian) one pattern-reusing
 //!   refactor per factorization;
 //! * sparse per-step cost scales near-linearly: RC500 costs at most
-//!   `MAX_STEP_RATIO`× RC20 per step, against a 25× size ratio.
+//!   `MAX_STEP_RATIO`× RC20 per step, against a 25× size ratio;
+//! * the ordering keeps the ladder near-banded: RC500's L+U fill is at
+//!   most `MAX_FILL_PER_UNKNOWN` entries per unknown (the row matching
+//!   before the minimum-degree order is what holds it there).
 //!
 //! Writes the merged report as `BENCH_sparse_smoke.json`. Exits nonzero on any
 //! violation.
@@ -36,8 +39,12 @@ const MAX_NRMSE: f64 = 1e-12;
 /// leaves ~3× for cache-hierarchy drift in the residual/Jacobian
 /// bytecode evaluation, which dominates the sparse per-step cost.
 const MAX_STEP_RATIO: f64 = 80.0;
+/// RC500 L+U fill ceiling per unknown. The row-matched minimum-degree
+/// order gives 3.9; ordering `A + Aᵀ` directly, without the matching, gives 14.5.
+const MAX_FILL_PER_UNKNOWN: f64 = 6.0;
 
 struct TransientRun {
+    dim: usize,
     wave: Vec<f64>,
     secs: f64,
     report: Report,
@@ -81,6 +88,7 @@ fn transient(
     let secs = t0.elapsed().as_secs_f64();
     inst.flush_counters();
     TransientRun {
+        dim: model.dim(),
         wave,
         secs,
         report: obs.report().expect("recording collector reports"),
@@ -171,8 +179,15 @@ fn main() {
             sparse.report.counter("linalg.sparse.analyze")
         ));
     }
-    if sparse.report.counter("linalg.sparse.fill") == 0 {
+    let fill_per_unknown = sparse.report.counter("linalg.sparse.fill") as f64 / sparse.dim as f64;
+    if fill_per_unknown == 0.0 {
         failures.push("counter `linalg.sparse.fill` is 0; factor storage unaccounted".into());
+    }
+    if fill_per_unknown > MAX_FILL_PER_UNKNOWN {
+        failures.push(format!(
+            "RC500 L+U fill {fill_per_unknown:.1} per unknown exceeds \
+             {MAX_FILL_PER_UNKNOWN} (the ladder is banded; the ordering lost it)"
+        ));
     }
     if dense.report.counter("linalg.sparse.analyze") != 0 {
         failures.push("dense backend reported `linalg.sparse.analyze`".into());
@@ -230,7 +245,7 @@ fn main() {
     println!("  sparse   {:>8.3} s  ({speedup:.1}x)", sparse.secs);
     println!("  RC500/RC20 per-step ratio {per_step_ratio:.1}x (size ratio 25x)");
     println!(
-        "  sparse counters: analyze {} refactor {} fill {}",
+        "  sparse counters: analyze {} refactor {} fill {} ({fill_per_unknown:.1} per unknown)",
         sparse.report.counter("linalg.sparse.analyze"),
         dio.report.counter("linalg.sparse.refactor"),
         sparse.report.counter("linalg.sparse.fill"),

@@ -9,8 +9,9 @@
 //!   the common input of both factorization backends.
 //! * [`LuFactors`] — dense LU with partial pivoting (small systems: the
 //!   paper's circuits peak at 22 nodes / 41 branches).
-//! * [`SparseLu`] — sparse LU with one-time symbolic analysis (minimum-degree
-//!   ordering, frozen fill pattern) and allocation-free numeric
+//! * [`SparseLu`] — sparse LU with one-time symbolic analysis (row
+//!   matching, minimum-degree ordering, frozen fill pattern) and
+//!   allocation-free numeric
 //!   refactorization (large systems: RC500-class ladders and up).
 //! * [`Factorization`] / [`AnyLu`] / [`SolverKind`] — the backend seam:
 //!   `analyze` once per model, `refactor` per Jacobian rebuild,

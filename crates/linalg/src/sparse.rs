@@ -3,8 +3,12 @@
 //!
 //! [`SparseLu::analyze`] performs the expensive, once-per-model work on a
 //! [`Triplets`] accumulator: duplicate coordinates are coalesced into a
-//! compressed column structure, a fill-reducing **minimum-degree** ordering
-//! is computed on the pattern of `A + Aᵀ`, and a left-looking
+//! compressed column structure, a **maximum transversal** pairs each row
+//! with a column it has a structural nonzero in, a fill-reducing
+//! **minimum-degree** ordering is computed on the symmetrized pattern of
+//! the row-matched matrix (graph node `k` is column `k` together with the
+//! row matched to it, so the order does not depend on how equations and
+//! unknowns happen to be numbered), and a left-looking
 //! Gilbert–Peierls factorization with partial pivoting discovers the exact
 //! fill-in pattern of `L` and `U`. Everything that depends only on the
 //! *structure* — the column order, the pivot sequence, the fill slots, and
@@ -101,8 +105,9 @@ pub struct SparseLu {
     a_coord: Vec<(usize, usize)>,
     /// Pivot position of each `a_vals` slot's row (`pinv[row]`).
     a_rowpos: Vec<usize>,
-    /// Column order: position `j` eliminates original column `q[j]`, and
-    /// the solution of position `j` lands in `x[q[j]]`.
+    /// Column order, the minimum-degree order of the row-matched pattern:
+    /// position `j` eliminates original column `q[j]`, and the solution
+    /// of position `j` lands in `x[q[j]]`.
     q: Vec<usize>,
     /// Row pivots: position `k` eliminates original row `rowperm[k]`.
     rowperm: Vec<usize>,
@@ -373,8 +378,13 @@ impl SparseLu {
         self.a_vals.resize(nnz, 0.0);
         self.scatter_values(a)?;
 
-        // --- Fill-reducing column order: minimum degree on A + Aᵀ. ---
-        min_degree_order(n, &self.a_coord, &mut self.q);
+        // --- Fill-reducing column order: pair each row with a column it
+        // touches, then minimum degree on the row-matched pattern, so
+        // graph node k stands for column k and the row matched to it. ---
+        let row_col = max_transversal(n, &self.a_coord);
+        let matched: Vec<(usize, usize)> =
+            self.a_coord.iter().map(|&(i, j)| (row_col[i], j)).collect();
+        min_degree_order(n, &matched, &mut self.q);
 
         // --- Gilbert–Peierls left-looking LU with partial pivoting. ---
         let scale = self
@@ -597,6 +607,98 @@ fn first_non_finite_raw(a: &Triplets) -> Option<(usize, usize)> {
     a.iter()
         .find(|(_, _, v)| !v.is_finite())
         .map(|(i, j, _)| (i, j))
+}
+
+/// Maximum transversal (MC21): pairs each row `i` with a column
+/// `row_col[i]` in which it has a structural nonzero, so that the
+/// row-permuted pattern has a zero-free diagonal. Rows are matched in
+/// index order; each first tries a cheap assignment (its next unmatched
+/// column, a pointer that only moves forward), then a depth-first search
+/// for an augmenting path through matched columns, run on an explicit
+/// stack. Worst case O(n·nnz). `coords` may repeat entries and come in
+/// any order; the result is a deterministic function of the sequence.
+///
+/// A structurally singular pattern has no full matching: its leftover
+/// rows are paired with the leftover columns in index order, so
+/// `row_col` is always a permutation (the factorization then reports the
+/// singularity itself).
+fn max_transversal(n: usize, coords: &[(usize, usize)]) -> Vec<usize> {
+    // Row-wise pattern: row `i`'s columns are `cols[ptr[i]..ptr[i + 1]]`.
+    let mut ptr = vec![0usize; n + 1];
+    for &(i, _) in coords {
+        ptr[i + 1] += 1;
+    }
+    for i in 0..n {
+        ptr[i + 1] += ptr[i];
+    }
+    let mut fill = ptr.clone();
+    let mut cols = vec![0usize; coords.len()];
+    for &(i, j) in coords {
+        cols[fill[i]] = j;
+        fill[i] += 1;
+    }
+
+    let mut row_col = vec![UNSET; n];
+    let mut col_row = vec![UNSET; n];
+    // Cheap-assignment cursor per row; DFS cursor per row on the stack.
+    let mut cheap = ptr[..n].to_vec();
+    let mut next = vec![0usize; n];
+    // `seen[j] == root`: column `j` was already tried for this root.
+    let mut seen = vec![UNSET; n];
+    let mut stack = Vec::new();
+    for root in 0..n {
+        stack.push(root);
+        next[root] = ptr[root];
+        while let Some(&i) = stack.last() {
+            let mut free = None;
+            while cheap[i] < ptr[i + 1] {
+                let j = cols[cheap[i]];
+                cheap[i] += 1;
+                if col_row[j] == UNSET {
+                    free = Some(j);
+                    break;
+                }
+            }
+            if let Some(mut j) = free {
+                // Augment: each row on the path takes the column the row
+                // above it on the stack held until now.
+                for &r in stack.iter().rev() {
+                    let held = std::mem::replace(&mut row_col[r], j);
+                    col_row[j] = r;
+                    j = held;
+                }
+                stack.clear();
+                break;
+            }
+            // Every column of `i` is matched: descend through an untried
+            // one into the row holding it, or give up on `i`.
+            let mut child = None;
+            while next[i] < ptr[i + 1] {
+                let j = cols[next[i]];
+                next[i] += 1;
+                if seen[j] != root {
+                    seen[j] = root;
+                    child = Some(col_row[j]);
+                    break;
+                }
+            }
+            match child {
+                Some(r) => {
+                    next[r] = ptr[r];
+                    stack.push(r);
+                }
+                None => {
+                    stack.pop();
+                }
+            }
+        }
+    }
+    // Structurally singular: pair the leftovers in index order.
+    let mut free_cols = (0..n).filter(|&j| col_row[j] == UNSET);
+    for c in row_col.iter_mut().filter(|c| **c == UNSET) {
+        *c = free_cols.next().expect("as many free columns as free rows");
+    }
+    row_col
 }
 
 /// Exact minimum-degree ordering on the pattern of `A + Aᵀ` (no
@@ -1045,5 +1147,93 @@ mod tests {
             "tridiagonal fill blew up: {} nonzeros",
             slu.factor_nnz()
         );
+    }
+
+    /// A seeded random permutation of `0..n` (Fisher–Yates).
+    fn permutation(rng: &mut XorShift, n: usize) -> Vec<usize> {
+        let mut p: Vec<usize> = (0..n).collect();
+        for k in (1..n).rev() {
+            p.swap(k, rng.below(k + 1));
+        }
+        p
+    }
+
+    #[test]
+    fn row_scrambled_band_has_no_fill() {
+        // The same band with its equations listed in a scrambled order,
+        // as `amsim` lists them: the row matching must undo the scramble
+        // before the ordering, or `A + Aᵀ` pairs unrelated rows and
+        // columns and the fill grows.
+        let n = 200;
+        let perm = permutation(&mut XorShift(0x5EED_F00D), n);
+        let mut t = Triplets::new(n, n);
+        for i in 0..n {
+            t.push(perm[i], i, 4.0);
+            if i + 1 < n {
+                t.push(perm[i], i + 1, -1.0);
+                t.push(perm[i + 1], i, -1.0);
+            }
+        }
+        let slu = SparseLu::analyze(&t).unwrap();
+        assert!(
+            slu.factor_nnz() <= 3 * n,
+            "row-scrambled tridiagonal fill blew up: {} nonzeros",
+            slu.factor_nnz()
+        );
+    }
+
+    #[test]
+    fn max_transversal_matches_every_row_of_a_nonsingular_pattern() {
+        let mut rng = XorShift(0xD1B5_4A32_D192_ED03);
+        for case in 0..240 {
+            let n = match case {
+                0..=4 => case,
+                _ => rng.below(301),
+            };
+            // Planting a permutation makes every pattern structurally
+            // nonsingular, so a full matching exists.
+            let perm = permutation(&mut rng, n);
+            let mut coords = random_pattern(&mut rng, case % 5, n);
+            coords.extend((0..n).map(|i| (i, perm[i])));
+            let row_col = max_transversal(n, &coords);
+            let mut hit = vec![false; n];
+            for (i, &c) in row_col.iter().enumerate() {
+                assert!(c < n && !hit[c], "case {case}: column {c} reused");
+                hit[c] = true;
+                assert!(
+                    coords.contains(&(i, c)),
+                    "case {case}: row {i} matched to column {c} it does not touch"
+                );
+            }
+            assert_eq!(row_col.len(), n, "case {case}");
+        }
+    }
+
+    #[test]
+    fn structurally_singular_patterns_stay_singular() {
+        // An empty column and an empty row: no full matching exists, the
+        // leftovers are paired by index and elimination reports it.
+        let n = 6;
+        let mut no_col = Triplets::new(n, n);
+        let mut no_row = Triplets::new(n, n);
+        for i in 0..n {
+            for j in [i, (i + 1) % n] {
+                if j != 2 {
+                    no_col.push(i, j, 1.0 + (i + j) as f64);
+                }
+                if i != 4 {
+                    no_row.push(i, j, 1.0 + (i * j) as f64);
+                }
+            }
+        }
+        for t in [&no_col, &no_row] {
+            assert!(matches!(
+                SparseLu::analyze(t).unwrap_err(),
+                FactorError::Singular(_)
+            ));
+        }
+        let mut sorted = max_transversal(n, &no_col.pattern());
+        sorted.sort_unstable();
+        assert_eq!(sorted, (0..n).collect::<Vec<_>>());
     }
 }
