@@ -1,5 +1,6 @@
 //! Lane-batched transient execution: one [`CompiledModel`] stepped over
-//! `L` scenario lanes at once.
+//! `L` scenario lanes at once — the crate's one Newton engine. A scalar
+//! [`Instance`] is lane 0 of a one-lane batch.
 //!
 //! # Layout
 //!
@@ -9,6 +10,14 @@
 //! ([`Program::eval_lanes`]) and the shared-factor linear solve runs over
 //! all lanes per substitution row ([`Factorization::solve_lanes_into`]),
 //! so the inner loops stride adjacent memory and auto-vectorize.
+//!
+//! At one lane the SoA block *is* the flat scalar layout
+//! `[unknowns | inputs | ddt prev | idt state | h | 1/h]`. Both kernels
+//! dispatch `lanes == 1` to their scalar forms ([`Program::eval`],
+//! [`Factorization::solve_into`]), Jacobian stamping works on the slots
+//! in place, and the lane's solve runs straight over the residual block
+//! — no gather/scatter copies — so an [`Instance`] runs no width-one lane
+//! loops.
 //!
 //! # Masking
 //!
@@ -23,11 +32,13 @@
 //!
 //! # Determinism
 //!
-//! A lane's trajectory is **bit-identical** to a scalar [`Instance`] run
-//! of the same scenario: per lane, the batch performs the same IEEE-754
-//! operations in the same order as the scalar hot path — only the loop
-//! nesting over lanes changes, never the arithmetic. Debug builds assert
-//! this against the scalar VM after every batched residual pass.
+//! A lane's trajectory is **bit-identical** to a one-lane run (an
+//! [`Instance`]) of the same scenario: per lane, the batch performs the
+//! same IEEE-754 operations in the same order at every width — only the
+//! loop nesting over lanes changes, never the arithmetic. Debug builds
+//! check every solving lane after each batched residual pass against two
+//! oracles: [`Program::eval`] on the lane's gathered slots (bitwise) and
+//! the tree walk behind [`Instance::residuals_tree`] (to 1e-9).
 
 use std::sync::Arc;
 
@@ -37,35 +48,89 @@ use obs::{CounterTracker, Obs};
 use crate::sim::stamp_jacobian;
 use crate::sim::{AmsError, CompiledModel, Instance, Snapshot, SnapshotLu, StepControl};
 
-/// Per-lane solver state: everything the scalar [`Instance`] keeps
-/// per run, minus the (shared, SoA) slot/iterate storage.
-struct Lane {
+/// Per-lane solver state: everything one run keeps besides the (shared,
+/// SoA) slot/iterate storage.
+pub(crate) struct Lane {
     /// Newton convergence tolerance for this lane.
-    newton_tol: f64,
+    pub(crate) newton_tol: f64,
     /// Adaptive-stepping policy; `None` keeps strict fixed-`dt` stepping.
-    step_control: Option<StepControl>,
-    /// Current adaptive sub-step `h ≤ dt`; persists across nominal steps.
-    cur_dt: f64,
+    pub(crate) step_control: Option<StepControl>,
+    /// Current adaptive sub-step `h ≤ dt`; persists across nominal steps
+    /// so a stiff region stays backed off until the regrow streak fires.
+    pub(crate) cur_dt: f64,
     /// Consecutive first-try accepted sub-steps (drives regrowth).
-    accept_streak: u32,
+    pub(crate) accept_streak: u32,
     /// Lane-owned factors, allocated lazily the first time this lane
     /// refactors away from the model's shared zero-state factorization.
     /// `None` means the lane still solves through `CompiledModel::init_lu`
     /// — the case that enables the batched shared-factor solve.
-    lu: Option<AnyLu>,
+    pub(crate) lu: Option<AnyLu>,
     /// Whether the lane's current factors (owned or shared) still
-    /// describe a usable linearization.
+    /// describe a usable linearization. Survives across iterations *and*
+    /// accepted steps (modified Newton).
     lu_valid: bool,
     /// Simulated time of the last accepted sub-step.
-    time: f64,
+    pub(crate) time: f64,
     /// Nominal steps completed.
     steps: u64,
     /// Newton iterations spent by this lane.
     newton_iters: u64,
     /// Terminal fault, if the lane has been retired by one.
-    error: Option<AmsError>,
+    pub(crate) error: Option<AmsError>,
     /// Whether the lane still participates in stepping.
-    active: bool,
+    pub(crate) active: bool,
+
+    // ---- driver scratch of the current nominal step ----
+    /// Sub-step of the current attempt.
+    h: f64,
+    /// Part of the nominal interval not yet covered.
+    remaining: f64,
+    /// Consecutive rejections within this nominal step.
+    rejects: u32,
+    /// Lane time at the start of the nominal step.
+    t_start: f64,
+    /// Whether the lane still has to close this nominal step.
+    stepping: bool,
+    /// Whether the lane takes part in the current Newton iteration.
+    solving: bool,
+    /// Whether the current solve converged.
+    converged: bool,
+    /// Error of the current solve attempt, if it failed.
+    fault: Option<AmsError>,
+    /// Best residual infinity-norm of the current solve.
+    best: f64,
+    /// Previous update norm (stall test).
+    prev_rel: f64,
+    /// Iterations the current factors have served without converging.
+    stale: u32,
+    /// Whether this iteration refactored.
+    fresh: bool,
+}
+
+impl Lane {
+    /// Marks the lane failed for this sub-step attempt (the driver decides
+    /// whether to back off or retire).
+    fn fail(&mut self, e: AmsError) {
+        self.fault = Some(e);
+        self.solving = false;
+    }
+
+    /// Retires the lane with a terminal fault.
+    fn retire_with(&mut self, e: AmsError) {
+        self.error = Some(e);
+        self.active = false;
+        self.stepping = false;
+    }
+
+    /// A non-finite residual, update or Jacobian entry in `iteration` of
+    /// the current solve.
+    fn non_finite(&self, iteration: u32) -> AmsError {
+        AmsError::NonFinite {
+            time: self.time,
+            iteration,
+            residual_norm: self.best,
+        }
+    }
 }
 
 /// A batch of `L` independent runs of one [`CompiledModel`], stepped
@@ -78,17 +143,22 @@ struct Lane {
 /// [`AmsError`] ([`BatchInstance::lane_error`]) without disturbing its
 /// siblings; see the [module docs](self) for layout, masking and the
 /// bit-determinism contract.
+///
+/// The Newton loop is allocation-free: every buffer it touches is
+/// preallocated here, and each lane's LU factorization is *reused* across
+/// iterations and accepted steps (modified Newton), refreshed only when
+/// the iteration stalls.
 pub struct BatchInstance {
-    model: Arc<CompiledModel>,
+    pub(crate) model: Arc<CompiledModel>,
     lanes: usize,
     /// SoA evaluation state, `[slot][lane]`:
     /// `[unknowns | inputs | ddt prev | idt state | h | 1/h]` × lanes.
-    slots: Vec<f64>,
+    pub(crate) slots: Vec<f64>,
     /// Last accepted solution, `[unknown][lane]`.
-    x: Vec<f64>,
+    pub(crate) x: Vec<f64>,
     /// Warm-start / rewind state, `[unknown][lane]`.
     x_prev: Vec<f64>,
-    lane: Vec<Lane>,
+    pub(crate) lane: Vec<Lane>,
 
     // ---- shared scratch ----
     /// Residuals `[equation][lane]`, negated in place into the Newton rhs.
@@ -97,9 +167,9 @@ pub struct BatchInstance {
     delta: Vec<f64>,
     /// Batched VM operand stack (`[depth][lane]`).
     stack: Vec<f64>,
-    /// Scalar VM stack for Jacobian stamping and the debug oracle.
-    scalar_stack: Vec<f64>,
-    /// One lane's slots gathered contiguously (Jacobian stamping, oracle).
+    /// Scalar VM stack for Jacobian stamping and the debug oracles.
+    pub(crate) scalar_stack: Vec<f64>,
+    /// One lane's slots gathered contiguously (Jacobian stamping, oracles).
     gather: Vec<f64>,
     /// Per-lane scalar solve rhs / solution (mixed-factor fallback path).
     lane_rhs: Vec<f64>,
@@ -112,38 +182,24 @@ pub struct BatchInstance {
     /// coordinate order the sparse backend's frozen pattern relies on.
     jt: Triplets,
 
-    // ---- per-lane driver state (reused across steps) ----
-    h: Vec<f64>,
-    remaining: Vec<f64>,
-    rejects: Vec<u32>,
-    t_start: Vec<f64>,
-    stepping: Vec<bool>,
-    solving: Vec<bool>,
-    converged: Vec<bool>,
-    fault: Vec<Option<AmsError>>,
-    best: Vec<f64>,
-    prev_rel: Vec<f64>,
-    stale: Vec<u32>,
-    fresh: Vec<bool>,
-
-    // ---- aggregate counters (sum over lanes) ----
-    steps: u64,
-    newton_iters: u64,
-    jacobian_builds: u64,
-    lu_factorizations: u64,
-    jacobian_reuse_hits: u64,
-    jacobian_refactors: u64,
-    steps_rejected: u64,
-    step_retries: u64,
-    dt_shrinks: u64,
-    dt_grows: u64,
+    // ---- aggregate counters (sum over lanes; never rewound) ----
+    pub(crate) steps: u64,
+    pub(crate) newton_iters: u64,
+    pub(crate) jacobian_builds: u64,
+    pub(crate) lu_factorizations: u64,
+    pub(crate) jacobian_reuse_hits: u64,
+    pub(crate) jacobian_refactors: u64,
+    pub(crate) steps_rejected: u64,
+    pub(crate) step_retries: u64,
+    pub(crate) dt_shrinks: u64,
+    pub(crate) dt_grows: u64,
     /// Lane-iterations computed but masked out (lane already converged,
     /// faulted or retired while siblings kept iterating).
     masked_iters: u64,
-    snapshots_taken: u64,
-    snapshots_restored: u64,
+    pub(crate) snapshots_taken: u64,
+    pub(crate) snapshots_restored: u64,
 
-    obs: Obs,
+    pub(crate) obs: Obs,
     obs_steps: CounterTracker,
     obs_newton: CounterTracker,
     obs_jacobian: CounterTracker,
@@ -175,7 +231,7 @@ pub struct BatchInstanceBuilder {
 
 impl BatchInstanceBuilder {
     /// Attaches an instrumentation collector; the batch reports the same
-    /// `amsim.*` counter families as a scalar instance (aggregated over
+    /// `amsim.*` counter families as an [`Instance`] (aggregated over
     /// lanes) plus `amsim.batch.lanes` and
     /// `amsim.batch.masked_iterations`.
     pub fn collector(mut self, obs: Obs) -> Self {
@@ -275,7 +331,7 @@ impl CompiledModel {
 }
 
 impl BatchInstance {
-    fn with_model(
+    pub(crate) fn with_model(
         model: Arc<CompiledModel>,
         obs: Obs,
         newton_tols: Vec<f64>,
@@ -284,8 +340,6 @@ impl BatchInstance {
         let lanes = newton_tols.len();
         let n = model.unknowns.len();
         let mut slots = vec![0.0; model.slot_count * lanes];
-        // Per-lane step slots, written with the same ops as the scalar
-        // constructor so lane 0 of a fresh batch equals a fresh instance.
         for l in 0..lanes {
             slots[model.dt_slot * lanes + l] = model.dt;
             slots[(model.dt_slot + 1) * lanes + l] = 1.0 / model.dt;
@@ -306,6 +360,18 @@ impl BatchInstance {
                 newton_iters: 0,
                 error: None,
                 active: true,
+                h: 0.0,
+                remaining: 0.0,
+                rejects: 0,
+                t_start: 0.0,
+                stepping: false,
+                solving: false,
+                converged: false,
+                fault: None,
+                best: 0.0,
+                prev_rel: 0.0,
+                stale: 0,
+                fresh: false,
             })
             .collect();
         BatchInstance {
@@ -324,18 +390,6 @@ impl BatchInstance {
             acc: vec![0.0; lanes],
             lane_out: vec![0.0; lanes],
             jt: Triplets::new(n, n),
-            h: vec![0.0; lanes],
-            remaining: vec![0.0; lanes],
-            rejects: vec![0; lanes],
-            t_start: vec![0.0; lanes],
-            stepping: vec![false; lanes],
-            solving: vec![false; lanes],
-            converged: vec![false; lanes],
-            fault: vec![None; lanes],
-            best: vec![0.0; lanes],
-            prev_rel: vec![0.0; lanes],
-            stale: vec![0; lanes],
-            fresh: vec![false; lanes],
             steps: 0,
             newton_iters: 0,
             jacobian_builds: 0,
@@ -403,50 +457,49 @@ impl BatchInstance {
             vec![snap.newton_tol; lanes],
             vec![snap.step_control; lanes],
         );
-        // Scatter the flat snapshot state into every lane of the SoA
-        // block. The reserved h / 1/h slots ride along, so the first
-        // `set_lane_dt` comparison sees exactly the value a flat run
-        // would have had at this point.
-        for s in 0..snap.model.slot_count {
-            for l in 0..lanes {
-                batch.slots[s * lanes + l] = snap.slots[s];
-            }
-        }
-        let n = snap.model.unknowns.len();
-        for i in 0..n {
-            for l in 0..lanes {
-                batch.x[i * lanes + l] = snap.x[i];
-                batch.x_prev[i * lanes + l] = snap.x_prev[i];
-            }
-        }
-        for lane in &mut batch.lane {
-            lane.cur_dt = snap.cur_dt;
-            lane.accept_streak = snap.accept_streak;
-            lane.time = snap.time;
-            lane.steps = snap.steps;
-            lane.newton_iters = snap.newton_iters;
-            match &snap.lu {
-                // Shared zero-state factors: `lu: None` keeps the lane
-                // eligible for the batched multi-RHS solve.
-                SnapshotLu::Shared { valid } => {
-                    lane.lu = None;
-                    lane.lu_valid = *valid && snap.model.init_lu.is_some();
-                }
-                SnapshotLu::Private { lu, valid } => {
-                    lane.lu = Some(lu.clone());
-                    lane.lu_valid = *valid;
-                }
-            }
+        for l in 0..lanes {
+            batch.restore_lane(l, snap);
         }
         batch.snapshots_restored = lanes as u64;
         batch
     }
 
+    /// Rewinds lane `l` to a checkpoint of the same model: the snapshot's
+    /// flat slot block and unknowns are scattered into the lane's SoA
+    /// column (the reserved `h`/`1/h` slots ride along, so the next
+    /// step's changed-`h` test sees exactly the value an uninterrupted
+    /// run would have had), the controller state, settings and
+    /// step/Newton watermarks are reinstated, and the lane goes back onto
+    /// the shared zero-state factors or a clone of the captured private
+    /// ones. Aggregate counters are untouched.
+    pub(crate) fn restore_lane(&mut self, l: usize, snap: &Snapshot) {
+        let lanes = self.lanes;
+        for (s, &v) in snap.slots.iter().enumerate() {
+            self.slots[s * lanes + l] = v;
+        }
+        for (i, (&x, &x_prev)) in snap.x.iter().zip(&snap.x_prev).enumerate() {
+            self.x[i * lanes + l] = x;
+            self.x_prev[i * lanes + l] = x_prev;
+        }
+        let lane = &mut self.lane[l];
+        lane.newton_tol = snap.newton_tol;
+        lane.step_control = snap.step_control;
+        lane.cur_dt = snap.cur_dt;
+        lane.accept_streak = snap.accept_streak;
+        lane.time = snap.time;
+        lane.steps = snap.steps;
+        lane.newton_iters = snap.newton_iters;
+        (lane.lu, lane.lu_valid) = match &snap.lu {
+            // `lu: None` keeps the lane eligible for the batched
+            // multi-RHS solve through the shared factors.
+            SnapshotLu::Shared { valid } => (None, *valid && self.model.init_lu.is_some()),
+            SnapshotLu::Private { lu, valid } => (Some(lu.clone()), *valid),
+        };
+    }
+
     /// Captures a checkpoint of lane `l`: the lane's column of the SoA
-    /// state gathered into a flat [`Snapshot`] interchangeable with one
-    /// taken from a scalar [`Instance`] at the same point. Valid on
-    /// retired lanes too — retirement freezes state, it does not destroy
-    /// it.
+    /// state gathered into a flat [`Snapshot`]. Valid on retired lanes
+    /// too — retirement freezes state, it does not destroy it.
     ///
     /// # Panics
     ///
@@ -455,21 +508,18 @@ impl BatchInstance {
         assert!(l < self.lanes, "lane out of range");
         let lanes = self.lanes;
         let n = self.model.unknowns.len();
-        let mut slots = vec![0.0; self.model.slot_count];
-        for (s, slot) in slots.iter_mut().enumerate() {
-            *slot = self.slots[s * lanes + l];
-        }
-        let mut x = vec![0.0; n];
-        let mut x_prev = vec![0.0; n];
-        for i in 0..n {
-            x[i] = self.x[i * lanes + l];
-            x_prev[i] = self.x_prev[i * lanes + l];
-        }
+        let slots = (0..self.model.slot_count)
+            .map(|s| self.slots[s * lanes + l])
+            .collect();
+        let x = (0..n).map(|i| self.x[i * lanes + l]).collect();
+        let x_prev = (0..n).map(|i| self.x_prev[i * lanes + l]).collect();
         let lane = &self.lane[l];
         let lu = match &lane.lu {
             None => SnapshotLu::Shared {
                 valid: lane.lu_valid,
             },
+            // The clone's stats are reset: this run already reported
+            // that factorization work.
             Some(owned) => {
                 let mut owned = owned.clone();
                 owned.reset_stats();
@@ -564,66 +614,48 @@ impl BatchInstance {
         self.lane[l].active = false;
     }
 
-    /// Writes the step slots of lane `l`. A changed step invalidates the
-    /// lane's cached LU factors, exactly as the scalar path does.
-    fn set_lane_dt(&mut self, l: usize, h: f64) {
-        let s = self.model.dt_slot * self.lanes + l;
-        if self.slots[s] != h {
-            self.slots[s] = h;
-            self.slots[s + self.lanes] = 1.0 / h;
-            self.lane[l].lu_valid = false;
-        }
-    }
-
-    /// Marks lane `l` failed for this sub-step attempt (driver decides
-    /// whether to back off or retire).
-    fn fail_lane(&mut self, l: usize, e: AmsError) {
-        self.fault[l] = Some(e);
-        self.solving[l] = false;
-    }
-
-    /// Retires lane `l` with a terminal fault.
-    fn retire_with(&mut self, l: usize, e: AmsError) {
-        self.lane[l].error = Some(e);
-        self.lane[l].active = false;
-    }
-
-    /// Builds and factors lane `l`'s Jacobian at its current slot state.
-    /// The lane's slots are gathered contiguously so the scalar stamping
-    /// routine (and its in-place numeric differencing) runs unchanged —
-    /// bit-identical entries to a scalar instance at the same state.
+    /// Builds lane `l`'s Jacobian at its current slot state and refreshes
+    /// its factors in place through the [`Factorization`] seam
+    /// (pattern-reusing refactor on the sparse backend). The scalar
+    /// stamping routine (and its in-place numeric differencing) runs on
+    /// the lane's slots gathered contiguously — or, in a one-lane batch,
+    /// on the slots themselves.
     fn build_and_factor_lane(&mut self, l: usize, iteration: u32) -> Result<(), AmsError> {
         let lanes = self.lanes;
-        let model = Arc::clone(&self.model);
         self.jacobian_builds += 1;
-        for s in 0..model.slot_count {
-            self.gather[s] = self.slots[s * lanes + l];
-        }
+        let slots = if lanes == 1 {
+            &mut self.slots
+        } else {
+            for s in 0..self.model.slot_count {
+                self.gather[s] = self.slots[s * lanes + l];
+            }
+            &mut self.gather
+        };
         stamp_jacobian(
-            &model.jacobian,
-            &model.programs,
-            &mut self.gather,
+            &self.model.jacobian,
+            &self.model.programs,
+            slots,
             &mut self.scalar_stack,
             &mut self.jt,
         );
         self.lu_factorizations += 1;
         // The first refactor clones the lane's factors from the model's
-        // compile-time seed — the same starting point a scalar instance's
-        // workspace gets — so the lane's numeric trajectory (the sparse
-        // backend's pivot sequence included) is bit-identical to a scalar
-        // run. Later refactors refresh the clone in place.
+        // compile-time seed, so every lane (the sparse backend's pivot
+        // sequence included) starts from the same deterministic point.
+        // Later refactors refresh the clone in place.
         if self.lane[l].lu.is_none() {
-            let mut lu = match &model.init_lu {
+            let mut lu = match &self.model.init_lu {
                 Some(lu) => lu.clone(),
                 // Zero-state Jacobian was singular: identity seed on the
-                // model's backend, exactly like the scalar constructor.
+                // model's backend, so refreshes can reuse the storage.
                 None => {
-                    let dim = model.unknowns.len().max(1);
+                    let dim = self.model.unknowns.len().max(1);
                     let mut ident = Triplets::new(dim, dim);
                     for i in 0..dim {
                         ident.push(i, i, 1.0);
                     }
-                    AnyLu::analyze_with(model.backend, &ident).expect("identity is never singular")
+                    AnyLu::analyze_with(self.model.backend, &ident)
+                        .expect("identity is never singular")
                 }
             };
             lu.reset_stats();
@@ -639,43 +671,32 @@ impl BatchInstance {
             }
             _ => {}
         }
-        let r = self.lane[l]
+        let lane = &mut self.lane[l];
+        let r = lane
             .lu
             .as_mut()
             .expect("seeded just above")
             .refactor(&self.jt);
-        match r {
-            Ok(()) => {
-                self.lane[l].lu_valid = true;
-                Ok(())
-            }
-            Err(e) => {
-                self.lane[l].lu_valid = false;
-                Err(match e {
-                    FactorError::NonFinite { .. } => AmsError::NonFinite {
-                        time: self.lane[l].time,
-                        iteration,
-                        residual_norm: self.best[l],
-                    },
-                    _ => AmsError::Singular,
-                })
-            }
-        }
+        lane.lu_valid = r.is_ok();
+        r.map_err(|e| match e {
+            FactorError::NonFinite { .. } => lane.non_finite(iteration),
+            _ => AmsError::Singular,
+        })
     }
 
     /// Asserts (debug builds only) that every solving lane's batched
-    /// residual is bit-identical to the scalar VM at the gathered lane
-    /// state — the determinism contract the sweep layers build on.
+    /// residual is bit-identical to [`Program::eval`] at the gathered
+    /// lane state — the determinism contract the sweep layers build on —
+    /// and agrees with the tree-walk oracle to 1e-9.
     #[cfg(debug_assertions)]
-    fn debug_check_batch_oracle(&mut self) {
+    fn debug_check_oracles(&mut self) {
         let lanes = self.lanes;
-        let model = Arc::clone(&self.model);
         for l in 0..lanes {
-            if !self.solving[l] {
+            if !self.lane[l].solving {
                 continue;
             }
-            // A poisoned residual intentionally disagrees with the
-            // scalar VM — skip the faulted lane, its siblings still hold.
+            // A poisoned residual intentionally disagrees with both
+            // oracles — skip the faulted lane, its siblings still hold.
             #[cfg(feature = "fault-inject")]
             if matches!(
                 crate::fault::active_for(l),
@@ -683,38 +704,54 @@ impl BatchInstance {
             ) {
                 continue;
             }
-            for s in 0..model.slot_count {
+            for s in 0..self.model.slot_count {
                 self.gather[s] = self.slots[s * lanes + l];
             }
-            for (i, prog) in model.programs.iter().enumerate() {
-                let scalar = prog.eval(&self.gather, &mut self.scalar_stack);
+            let model = &self.model;
+            for (i, (prog, eq)) in model.programs.iter().zip(&model.equations).enumerate() {
                 let batch = self.res[i * lanes + l];
+                let scalar = prog.eval(&self.gather, &mut self.scalar_stack);
                 debug_assert!(
                     scalar.to_bits() == batch.to_bits(),
                     "batched residual {i} lane {l} diverged from scalar VM: \
                      {batch:?} vs {scalar:?}"
                 );
+                let tree = model.eval_tree(&self.gather, eq);
+                let scale = 1.0 + tree.abs().max(batch.abs());
+                // A diverged iterate legitimately produces non-finite
+                // residuals (the solver's guard rejects them right after
+                // this check); the oracle only demands both agree on them.
+                debug_assert!(
+                    (tree - batch).abs() <= 1e-9 * scale
+                        || (tree.is_nan() && batch.is_nan())
+                        || tree == batch,
+                    "VM residual {i} lane {l} diverged from tree oracle: {batch} vs {tree}"
+                );
             }
         }
     }
 
-    /// Runs the Newton iteration over every lane flagged in
-    /// `self.solving`, with per-lane masking: a lane leaves the iteration
-    /// when it converges (`self.converged`) or faults (`self.fault`);
-    /// siblings keep iterating. Per lane, every decision — divergence
-    /// guards, factor/reuse policy, stall test, error payloads — mirrors
-    /// the scalar [`Instance`] solver exactly.
+    /// Runs the Newton iteration over every lane flagged `solving`, with
+    /// per-lane masking: a lane leaves the iteration when it converges
+    /// (`converged`) or faults (`fault`); siblings keep iterating.
+    ///
+    /// Modified Newton: a lane factors only when it has no usable
+    /// linearization, otherwise it reuses its factors; a reused
+    /// factorization whose update norm stops halving, or that has served
+    /// [`Instance::MAX_STALE_ITERS`] iterations, is refreshed at the
+    /// current iterate on the next pass. A failed lane's slots hold the
+    /// diverged iterate but its history, accepted state and time are
+    /// untouched, so the driver can rewind it from `x_prev`.
     fn newton_solve_lanes(&mut self) {
         let lanes = self.lanes;
         let n = self.model.unknowns.len();
-        let model = Arc::clone(&self.model);
-        for l in 0..lanes {
-            self.converged[l] = false;
-            self.fault[l] = None;
-            if self.solving[l] {
-                self.best[l] = f64::INFINITY;
-                self.prev_rel[l] = f64::INFINITY;
-                self.stale[l] = 0;
+        for lane in &mut self.lane {
+            lane.converged = false;
+            lane.fault = None;
+            if lane.solving {
+                lane.best = f64::INFINITY;
+                lane.prev_rel = f64::INFINITY;
+                lane.stale = 0;
             }
         }
         // Injected faults (`fault-inject` builds): a residual fault
@@ -722,8 +759,8 @@ impl BatchInstance {
         // refactor fault invalidates the lane's factors so the forced
         // failure fires on its first factorization.
         #[cfg(feature = "fault-inject")]
-        for l in 0..lanes {
-            if !self.solving[l] {
+        for (l, lane) in self.lane.iter_mut().enumerate() {
+            if !lane.solving {
                 continue;
             }
             match crate::fault::active_for(l) {
@@ -733,26 +770,25 @@ impl BatchInstance {
                 Some(
                     crate::fault::SolverFault::RefactorSingular
                     | crate::fault::SolverFault::RefactorNonFinite,
-                ) => self.lane[l].lu_valid = false,
+                ) => lane.lu_valid = false,
                 None => {}
             }
         }
         for iter in 1..=Instance::MAX_NEWTON_ITERS {
-            let solving_count = self.solving.iter().filter(|&&s| s).count();
-            if solving_count == 0 {
+            let mut solving = 0;
+            for lane in self.lane.iter_mut().filter(|lane| lane.solving) {
+                lane.newton_iters += 1;
+                solving += 1;
+            }
+            if solving == 0 {
                 return;
             }
-            self.masked_iters += (lanes - solving_count) as u64;
-            self.newton_iters += solving_count as u64;
-            for l in 0..lanes {
-                if self.solving[l] {
-                    self.lane[l].newton_iters += 1;
-                }
-            }
+            self.masked_iters += (lanes - solving) as u64;
+            self.newton_iters += solving as u64;
 
             // Batched residual pass over every lane (masked lanes are
             // computed but never committed).
-            for (i, prog) in model.programs.iter().enumerate() {
+            for (i, prog) in self.model.programs.iter().enumerate() {
                 prog.eval_lanes(
                     &self.slots,
                     lanes,
@@ -761,11 +797,14 @@ impl BatchInstance {
                 );
             }
             #[cfg(debug_assertions)]
-            self.debug_check_batch_oracle();
+            self.debug_check_oracles();
 
             // Per-lane norm fold + modified-Newton factorization policy.
+            // Finiteness is tracked separately: `f64::max` ignores NaN, so
+            // folding alone would let a NaN residual pass as converged.
             for l in 0..lanes {
-                if !self.solving[l] {
+                let lane = &mut self.lane[l];
+                if !lane.solving {
                     continue;
                 }
                 let mut res_norm: f64 = 0.0;
@@ -776,73 +815,73 @@ impl BatchInstance {
                     res_norm = res_norm.max(v.abs());
                 }
                 if !finite {
-                    self.lane[l].lu_valid = false;
-                    let e = AmsError::NonFinite {
-                        time: self.lane[l].time,
-                        iteration: iter,
-                        residual_norm: self.best[l],
-                    };
-                    self.fail_lane(l, e);
+                    lane.lu_valid = false;
+                    lane.fail(lane.non_finite(iter));
                     continue;
                 }
-                self.best[l] = self.best[l].min(res_norm);
-                let fresh = !self.lane[l].lu_valid;
-                self.fresh[l] = fresh;
-                if fresh {
+                lane.best = lane.best.min(res_norm);
+                lane.fresh = !lane.lu_valid;
+                if lane.fresh {
                     if let Err(e) = self.build_and_factor_lane(l, iter) {
-                        self.fail_lane(l, e);
+                        self.lane[l].fail(e);
                         continue;
                     }
-                    self.stale[l] = 0;
+                    self.lane[l].stale = 0;
                 } else {
                     self.jacobian_reuse_hits += 1;
-                    self.stale[l] += 1;
+                    lane.stale += 1;
                 }
             }
-            if !self.solving.iter().any(|&s| s) {
+            if !self.lane.iter().any(|lane| lane.solving) {
                 continue; // every lane resolved during the fold
             }
 
             // Solve J·δ = −F. Negate the residual in place as the rhs
-            // (masked lanes included — their values are discarded), then
-            // either one batched multi-rhs solve through the shared
-            // zero-state factors or per-lane gathered solves when any
-            // solving lane owns its own factors.
+            // (masked lanes included — their values are discarded). When
+            // one factorization serves every solving lane — the model's
+            // shared zero-state factors, or whichever factors the only
+            // lane of a one-lane batch solves through — a single
+            // multi-RHS solve covers the block; otherwise each solving
+            // lane is gathered, solved through its own factors and
+            // scattered back.
             self.res.iter_mut().for_each(|v| *v = -*v);
-            let shared = model.init_lu.is_some()
-                && (0..lanes).all(|l| !self.solving[l] || self.lane[l].lu.is_none());
-            if shared {
-                model
-                    .init_lu
-                    .as_ref()
-                    .expect("checked above")
-                    .solve_lanes_into(&self.res, &mut self.delta, lanes, &mut self.acc);
+            let one_lu = if lanes == 1 {
+                self.lane[0].lu.as_ref().or(self.model.init_lu.as_ref())
+            } else if self
+                .lane
+                .iter()
+                .all(|lane| !lane.solving || lane.lu.is_none())
+            {
+                self.model.init_lu.as_ref()
             } else {
-                for l in 0..lanes {
-                    if !self.solving[l] {
-                        continue;
-                    }
-                    for i in 0..n {
-                        self.lane_rhs[i] = self.res[i * lanes + l];
-                    }
-                    let lu = match self.lane[l].lu.as_ref() {
-                        Some(lu) => lu,
-                        None => model
-                            .init_lu
+                None
+            };
+            match one_lu {
+                Some(lu) => lu.solve_lanes_into(&self.res, &mut self.delta, lanes, &mut self.acc),
+                None => {
+                    for (l, lane) in self.lane.iter().enumerate() {
+                        if !lane.solving {
+                            continue;
+                        }
+                        for i in 0..n {
+                            self.lane_rhs[i] = self.res[i * lanes + l];
+                        }
+                        lane.lu
                             .as_ref()
-                            .expect("a lane without owned factors solves through init_lu"),
-                    };
-                    lu.solve_into(&self.lane_rhs, &mut self.lane_delta);
-                    for i in 0..n {
-                        self.delta[i * lanes + l] = self.lane_delta[i];
+                            .or(self.model.init_lu.as_ref())
+                            .expect("a lane without owned factors solves through init_lu")
+                            .solve_into(&self.lane_rhs, &mut self.lane_delta);
+                        for i in 0..n {
+                            self.delta[i * lanes + l] = self.lane_delta[i];
+                        }
                     }
                 }
             }
 
             // Per-lane update, divergence guard, convergence and stall
             // tests.
-            for l in 0..lanes {
-                if !self.solving[l] {
+            for (l, lane) in self.lane.iter_mut().enumerate() {
+                if !lane.solving {
                     continue;
                 }
                 let mut max_rel: f64 = 0.0;
@@ -855,87 +894,87 @@ impl BatchInstance {
                     max_rel = max_rel.max(di.abs() / (1.0 + xi.abs()));
                 }
                 if !update_finite {
-                    self.lane[l].lu_valid = false;
-                    let e = AmsError::NonFinite {
-                        time: self.lane[l].time,
-                        iteration: iter,
-                        residual_norm: self.best[l],
-                    };
-                    self.fail_lane(l, e);
+                    lane.lu_valid = false;
+                    lane.fail(lane.non_finite(iter));
                     continue;
                 }
-                if max_rel < self.lane[l].newton_tol {
-                    self.converged[l] = true;
-                    self.solving[l] = false;
+                if max_rel < lane.newton_tol {
+                    lane.converged = true;
+                    lane.solving = false;
                     continue;
                 }
-                let contracting = max_rel < 0.5 * self.prev_rel[l];
-                let stalled = !contracting || self.stale[l] >= Instance::MAX_STALE_ITERS;
-                if !self.fresh[l] && stalled {
-                    self.lane[l].lu_valid = false;
+                let contracting = max_rel < 0.5 * lane.prev_rel;
+                let stalled = !contracting || lane.stale >= Instance::MAX_STALE_ITERS;
+                if !lane.fresh && stalled {
+                    lane.lu_valid = false;
                     self.jacobian_refactors += 1;
                 }
-                self.prev_rel[l] = max_rel;
+                lane.prev_rel = max_rel;
             }
         }
-        // Lanes still solving exhausted the iteration budget.
-        for l in 0..lanes {
-            if !self.solving[l] {
-                continue;
-            }
-            self.lane[l].lu_valid = false;
-            let e = AmsError::NoConvergence {
-                time: self.lane[l].time,
+        // Lanes still solving exhausted the iteration budget; their stale
+        // linearization is suspect.
+        for lane in self.lane.iter_mut().filter(|lane| lane.solving) {
+            lane.lu_valid = false;
+            lane.fail(AmsError::NoConvergence {
+                time: lane.time,
                 iterations: Instance::MAX_NEWTON_ITERS,
-                residual_norm: self.best[l],
-                dt: self.h[l],
-            };
-            self.fail_lane(l, e);
+                residual_norm: lane.best,
+                dt: lane.h,
+            });
         }
     }
 
-    /// Commits every converged lane's iterate after a solve: refreshes
-    /// the `ddt`/`idt` history (sequentially in `k`, batched over lanes),
-    /// publishes the solution and advances lane time. Masked lanes'
-    /// history, state and time are untouched.
+    /// Commits every converged lane's iterate after a solve at its step
+    /// `h`: refreshes the `ddt`/`idt` history (sequentially in `k` —
+    /// later operands may reference earlier placeholders — batched over
+    /// lanes), publishes the solution and advances lane time by `h`.
+    ///
+    /// History refresh happens **only** here: a rejected sub-step leaves
+    /// the discretized operators exactly at the last accepted state, so a
+    /// retry at a halved step resamples `ddt`/`idt` consistently instead
+    /// of integrating a half-updated history.
     fn accept_lanes(&mut self) {
-        if !self.converged.iter().any(|&c| c) {
+        if !self.lane.iter().any(|lane| lane.converged) {
             return;
         }
         let lanes = self.lanes;
-        let n = self.model.unknowns.len();
-        let model = Arc::clone(&self.model);
-        for k in 0..model.ddt_progs.len() {
-            model.ddt_progs[k].eval_lanes(&self.slots, lanes, &mut self.stack, &mut self.lane_out);
-            let base = (model.ddt_off + k) * lanes;
-            for l in 0..lanes {
-                if self.converged[l] {
-                    self.slots[base + l] = self.lane_out[l];
+        let model = &*self.model;
+        let n = model.unknowns.len();
+        for (k, prog) in model.ddt_progs.iter().enumerate() {
+            prog.eval_lanes(&self.slots, lanes, &mut self.stack, &mut self.lane_out);
+            let row = &mut self.slots[(model.ddt_off + k) * lanes..][..lanes];
+            for ((slot, &v), lane) in row.iter_mut().zip(&self.lane_out).zip(&self.lane) {
+                if lane.converged {
+                    *slot = v;
                 }
             }
         }
-        for k in 0..model.idt_progs.len() {
-            model.idt_progs[k].eval_lanes(&self.slots, lanes, &mut self.stack, &mut self.lane_out);
-            let base = (model.idt_off + k) * lanes;
-            for l in 0..lanes {
-                if self.converged[l] {
-                    self.slots[base + l] += self.h[l] * self.lane_out[l];
+        for (k, prog) in model.idt_progs.iter().enumerate() {
+            prog.eval_lanes(&self.slots, lanes, &mut self.stack, &mut self.lane_out);
+            let row = &mut self.slots[(model.idt_off + k) * lanes..][..lanes];
+            for ((slot, &v), lane) in row.iter_mut().zip(&self.lane_out).zip(&self.lane) {
+                if lane.converged {
+                    *slot += lane.h * v;
                 }
             }
         }
-        for i in 0..n {
-            for l in 0..lanes {
-                if self.converged[l] {
-                    let v = self.slots[i * lanes + l];
-                    self.x[i * lanes + l] = v;
-                    self.x_prev[i * lanes + l] = v;
+        if self.lane.iter().all(|lane| lane.converged) {
+            self.x.copy_from_slice(&self.slots[..n * lanes]);
+            self.x_prev.copy_from_slice(&self.slots[..n * lanes]);
+        } else {
+            for i in 0..n {
+                for (l, lane) in self.lane.iter().enumerate() {
+                    if lane.converged {
+                        let v = self.slots[i * lanes + l];
+                        self.x[i * lanes + l] = v;
+                        self.x_prev[i * lanes + l] = v;
+                    }
                 }
             }
         }
-        for l in 0..lanes {
-            if self.converged[l] {
-                self.lane[l].time += self.h[l];
-            }
+        for lane in self.lane.iter_mut().filter(|lane| lane.converged) {
+            lane.time += lane.h;
         }
     }
 
@@ -943,13 +982,19 @@ impl BatchInstance {
     /// many lanes completed it.
     ///
     /// `inputs` is a `[input][lane]` block (`input_count * lanes` values,
-    /// lane index contiguous) applied with zero-order hold across any
-    /// adaptive sub-steps, exactly like the scalar path. Lanes reject and
-    /// back off independently under their own [`StepControl`]; a lane
-    /// that exhausts its budget (or faults without one) is retired with
-    /// its typed error — inspect [`BatchInstance::lane_error`] — while
-    /// siblings complete normally. Retired lanes are skipped (masked) and
-    /// never contribute to the return count.
+    /// lane index contiguous) held constant (zero-order hold) across any
+    /// adaptive sub-steps. A fixed-`dt` lane runs one Newton solve at the
+    /// nominal step and retires on failure. Under a [`StepControl`], a
+    /// lane covers `[t, t + dt]` with sub-steps `dt / 2^k`: a failed
+    /// solve retries at half the sub-step until the interval closes, the
+    /// retry budget is exhausted or the backoff floor is hit, and the
+    /// sub-step regrows toward nominal after a streak of clean accepts.
+    /// Every lane then snaps to the exact nominal boundary
+    /// `t_start + dt`. A lane that exhausts its budget (or faults without
+    /// one) is retired with its typed error — inspect
+    /// [`BatchInstance::lane_error`] — while siblings complete normally.
+    /// Retired lanes are skipped (masked) and never contribute to the
+    /// return count.
     ///
     /// # Panics
     ///
@@ -962,12 +1007,13 @@ impl BatchInstance {
         let off = self.model.input_off * lanes;
         self.slots[off..off + inputs.len()].copy_from_slice(inputs);
         let nominal = self.model.dt;
+        let dt_slot = self.model.dt_slot * lanes;
 
-        for l in 0..lanes {
-            self.stepping[l] = self.lane[l].active;
-            self.remaining[l] = nominal;
-            self.rejects[l] = 0;
-            self.t_start[l] = self.lane[l].time;
+        for lane in &mut self.lane {
+            lane.stepping = lane.active;
+            lane.remaining = nominal;
+            lane.rejects = 0;
+            lane.t_start = lane.time;
         }
         let mut completed = 0usize;
 
@@ -975,28 +1021,35 @@ impl BatchInstance {
             // Open the next sub-step attempt per lane: pick `h`, write the
             // step slots, rewind the iterate to the last accepted state.
             // Lanes whose interval has closed snap to the exact nominal
-            // boundary (same `t_start + nominal` arithmetic as scalar).
+            // boundary. Every sub-step is `dt / 2^k`, so the remainder
+            // reaches 0.0 exactly; the tolerance only guards float dust.
             let mut any = false;
-            for l in 0..lanes {
-                if !self.stepping[l] {
+            for (l, lane) in self.lane.iter_mut().enumerate() {
+                if !lane.stepping {
                     continue;
                 }
-                if self.remaining[l] <= nominal * 1e-12 {
-                    self.lane[l].time = self.t_start[l] + nominal;
-                    self.lane[l].steps += 1;
+                if lane.remaining <= nominal * 1e-12 {
+                    lane.time = lane.t_start + nominal;
+                    lane.steps += 1;
+                    lane.stepping = false;
                     self.steps += 1;
-                    self.stepping[l] = false;
                     completed += 1;
                     continue;
                 }
                 any = true;
-                let h = self.lane[l].cur_dt.min(self.remaining[l]);
-                self.h[l] = h;
-                self.set_lane_dt(l, h);
+                let h = lane.cur_dt.min(lane.remaining);
+                lane.h = h;
+                // A changed step invalidates the lane's cached factors:
+                // the discretized Jacobian depends on `h`.
+                if self.slots[dt_slot + l] != h {
+                    self.slots[dt_slot + l] = h;
+                    self.slots[dt_slot + lanes + l] = 1.0 / h;
+                    lane.lu_valid = false;
+                }
                 for i in 0..n {
                     self.slots[i * lanes + l] = self.x_prev[i * lanes + l];
                 }
-                self.solving[l] = true;
+                lane.solving = true;
             }
             if !any {
                 break;
@@ -1005,65 +1058,68 @@ impl BatchInstance {
             self.newton_solve_lanes();
             self.accept_lanes();
 
-            // Per-lane accept/reject bookkeeping, mirroring the scalar
-            // fixed and adaptive drivers.
-            for l in 0..lanes {
-                if !self.stepping[l] {
+            // Per-lane accept/reject bookkeeping.
+            for lane in self.lane.iter_mut().filter(|lane| lane.stepping) {
+                if lane.converged {
+                    lane.remaining -= lane.h;
+                    lane.rejects = 0;
+                    if let Some(sc) = lane.step_control {
+                        if self.obs.enabled() {
+                            self.obs.time("amsim.dt", lane.h);
+                        }
+                        if lane.cur_dt < nominal {
+                            lane.accept_streak += 1;
+                            if lane.accept_streak >= sc.grow_streak {
+                                lane.cur_dt = (2.0 * lane.cur_dt).min(nominal);
+                                self.dt_grows += 1;
+                                lane.accept_streak = 0;
+                            }
+                        }
+                    }
                     continue;
                 }
-                if self.converged[l] {
-                    self.remaining[l] -= self.h[l];
-                    self.rejects[l] = 0;
-                    if let Some(sc) = self.lane[l].step_control {
-                        if self.obs.enabled() {
-                            self.obs.time("amsim.dt", self.h[l]);
-                        }
-                        if self.lane[l].cur_dt < nominal {
-                            self.lane[l].accept_streak += 1;
-                            if self.lane[l].accept_streak >= sc.grow_streak {
-                                self.lane[l].cur_dt = (2.0 * self.lane[l].cur_dt).min(nominal);
-                                self.dt_grows += 1;
-                                self.lane[l].accept_streak = 0;
-                            }
-                        }
-                    }
+                let e = lane.fault.take().expect("attempted lane resolved");
+                let Some(sc) = lane.step_control else {
+                    // Fixed-dt lane: surface the failure immediately.
+                    lane.retire_with(e);
+                    continue;
+                };
+                self.steps_rejected += 1;
+                lane.accept_streak = 0;
+                lane.rejects += 1;
+                let half = 0.5 * lane.h;
+                if lane.rejects > sc.max_retries || half < sc.min_dt {
+                    // Budget exhausted: retire with the last solver error.
+                    // Lane state and time stay at the last accepted
+                    // sub-step.
+                    lane.retire_with(e);
                 } else {
-                    let e = self.fault[l].take().expect("attempted lane resolved");
-                    match self.lane[l].step_control {
-                        // Fixed-dt lane: surface the failure immediately.
-                        None => {
-                            self.retire_with(l, e);
-                            self.stepping[l] = false;
-                        }
-                        Some(sc) => {
-                            self.steps_rejected += 1;
-                            self.lane[l].accept_streak = 0;
-                            self.rejects[l] += 1;
-                            let half = 0.5 * self.h[l];
-                            if self.rejects[l] > sc.max_retries || half < sc.min_dt {
-                                // Budget exhausted: retire with the last
-                                // solver error. Lane state and time stay
-                                // at the last accepted sub-step.
-                                self.retire_with(l, e);
-                                self.stepping[l] = false;
-                            } else {
-                                self.step_retries += 1;
-                                self.lane[l].cur_dt = half;
-                                self.dt_shrinks += 1;
-                            }
-                        }
-                    }
+                    self.step_retries += 1;
+                    lane.cur_dt = half;
+                    self.dt_shrinks += 1;
                 }
             }
         }
         completed
     }
 
-    /// Reports counter deltas to the attached collector: the scalar
-    /// `amsim.*` families aggregated over lanes, plus `amsim.batch.lanes`
-    /// (lane slots provisioned by this batch) and
+    /// Reports counter deltas to the attached collector: the
+    /// [`Instance`] `amsim.*` families aggregated over lanes, plus
+    /// `amsim.batch.lanes` (lane slots provisioned by this batch) and
     /// `amsim.batch.masked_iterations`. Called automatically on drop.
     pub fn flush_counters(&mut self) {
+        self.flush_solver_counters();
+        if self.obs.enabled() {
+            let (lanes, masked) = (self.lanes as u64, self.masked_iters);
+            self.obs_lanes.flush(&self.obs, "amsim.batch.lanes", lanes);
+            self.obs_masked
+                .flush(&self.obs, "amsim.batch.masked_iterations", masked);
+        }
+    }
+
+    /// The counter families an [`Instance`] reports: steps, Newton and
+    /// Jacobian work, step control, sparse-backend work and snapshots.
+    pub(crate) fn flush_solver_counters(&mut self) {
         if self.obs.enabled() {
             let (steps, newton, jacobian) = (self.steps, self.newton_iters, self.jacobian_builds);
             let (factorizations, reuse_hits, refactors) = (
@@ -1095,10 +1151,6 @@ impl BatchInstance {
             self.obs_shrinks
                 .flush(&self.obs, "amsim.step.dt_shrink", shrinks);
             self.obs_grows.flush(&self.obs, "amsim.step.dt_grow", grows);
-            let (lanes, masked) = (self.lanes as u64, self.masked_iters);
-            self.obs_lanes.flush(&self.obs, "amsim.batch.lanes", lanes);
-            self.obs_masked
-                .flush(&self.obs, "amsim.batch.masked_iterations", masked);
             // Sparse-backend work summed over lane-owned factors (all
             // zeros on the dense backend).
             let mut sparse = linalg::SparseStats::default();

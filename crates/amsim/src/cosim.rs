@@ -14,7 +14,7 @@ use std::thread::JoinHandle;
 
 use obs::{CounterTracker, Obs};
 
-use crate::{AmsError, AmsSimulator};
+use crate::{AmsError, Instance};
 
 enum Request {
     Step(Vec<f64>),
@@ -67,7 +67,7 @@ pub struct CosimHandle {
 impl CosimHandle {
     /// Spawns the solver thread. `outputs` is the number of observed
     /// outputs the simulator was built with.
-    pub fn spawn(mut sim: AmsSimulator, outputs: usize) -> CosimHandle {
+    pub fn spawn(mut sim: Instance, outputs: usize) -> CosimHandle {
         // Rendezvous channels: capacity 0 would deadlock the simple
         // protocol, capacity 1 keeps the round trip strict.
         let (req_tx, req_rx) = sync_channel::<Request>(1);

@@ -21,6 +21,9 @@
 //! conservative DAE solve per step), made as fast as the structure
 //! allows, which is what the generated models are benchmarked against.
 //!
+//! There is one Newton engine, the lane-batched [`BatchInstance`]; a
+//! single run ([`Instance`]) is lane 0 of a one-lane batch.
+//!
 //! [`cosim`] runs a simulator instance on its own thread in lockstep with
 //! a digital kernel, reproducing the synchronization cost of commercial
 //! co-simulation (Questa + ELDO in the paper's Table III).
@@ -63,8 +66,8 @@ mod sim;
 
 pub use batch::{BatchInstance, BatchInstanceBuilder, InputFrame};
 pub use sim::{
-    AmsError, AmsSimulator, CompiledModel, Instance, InstanceBuilder, RecoveryPolicy, Simulation,
-    Snapshot, StepControl,
+    AmsError, CompiledModel, Instance, InstanceBuilder, RecoveryPolicy, Simulation, Snapshot,
+    StepControl,
 };
 
 // Re-exported so call sites can pick a backend via

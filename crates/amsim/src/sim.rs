@@ -8,10 +8,12 @@ use amsvp_core::acquire::acquire;
 use amsvp_core::{conservative_relations, AbstractError, OutputSpec};
 use expr::vm::{self, Program};
 use expr::Expr;
-use linalg::{AnyLu, FactorError, Factorization, SolverKind, Triplets};
+use linalg::{AnyLu, SolverKind, Triplets};
 use netlist::{QExpr, Quantity};
-use obs::{CounterTracker, Obs};
+use obs::Obs;
 use vams_ast::Module;
+
+use crate::BatchInstance;
 
 /// Errors from the reference simulator.
 #[derive(Debug, Clone, PartialEq)]
@@ -305,27 +307,6 @@ pub(crate) enum JacEntry {
     Numeric,
 }
 
-/// Preallocated Newton scratch state: every buffer the inner loop touches
-/// lives here, so [`AmsSimulator::try_step`] performs no heap allocation.
-#[derive(Debug)]
-struct Workspace {
-    /// Operand stack shared by every VM program evaluation.
-    stack: Vec<f64>,
-    /// Residual vector `F(x)` (negated in place into the Newton rhs).
-    residual: Vec<f64>,
-    /// Newton update `δ` solved from `J·δ = −F`.
-    delta: Vec<f64>,
-    /// Jacobian stamps in coordinate form, re-pushed on each (re)build
-    /// in a fixed order so the sparse backend's frozen pattern applies.
-    jt: Triplets,
-    /// Factorization (dense or sparse by the model's resolved backend),
-    /// refreshed in place via [`Factorization::refactor`].
-    lu: AnyLu,
-    /// Whether `lu` still describes a usable linearization. Survives
-    /// across iterations *and* accepted steps (modified Newton).
-    lu_valid: bool,
-}
-
 /// Immutable compiled artifact of one Verilog-AMS module: the discretized
 /// equation system, its VM bytecode programs, the symbolic Jacobian, the
 /// slot layout, and an LU factorization of the Jacobian evaluated at the
@@ -392,84 +373,42 @@ pub struct CompiledModel {
 /// full conservative equation system of one Verilog-AMS module: the
 /// mutable per-run half of a [`CompiledModel`].
 ///
-/// An `Instance` holds only run state — the unknown vector, input/history
-/// slots, the Newton workspace (LU factors included) and performance
-/// counters — and borrows everything immutable from its `Arc`'d model, so
+/// An `Instance` is lane 0 of a one-lane [`BatchInstance`], the crate's
+/// one Newton engine, whose kernels take their scalar forms at one lane.
+/// It adds the scalar conveniences: flat inputs and outputs, a `Result`
+/// per step, and a run that stays usable after an error. It holds only
+/// run state and borrows everything immutable from its `Arc`'d model, so
 /// creating one is allocation-cheap and many can step concurrently on
-/// different threads. The original tree-walk interpreter is retained as a
-/// debug-assertable oracle ([`Instance::residuals_tree`]).
+/// different threads. Until its first refactor an instance solves
+/// through the model's shared zero-state factors, and its snapshots
+/// share them too; an instance from [`Simulation::build`] starts on its
+/// own copy, which carries the compile-time work on its counters. The
+/// tree-walk interpreter is kept as an oracle
+/// ([`Instance::residuals_tree`]), checked in debug builds at every
+/// Newton iteration.
 ///
 /// See the [crate-level documentation](crate) for the role this plays in
 /// the reproduction and an example.
 pub struct Instance {
-    model: Arc<CompiledModel>,
-    /// Newton convergence tolerance (`max_rel` threshold) for this run.
-    newton_tol: f64,
-    /// Adaptive-stepping policy; `None` keeps strict fixed-`dt` stepping.
-    step_control: Option<StepControl>,
-    /// Current adaptive sub-step `h ≤ dt`; persists across nominal steps
-    /// so a stiff region stays backed off until the regrow streak fires.
-    cur_dt: f64,
-    /// Consecutive first-try accepted sub-steps (drives regrowth).
-    accept_streak: u32,
-    /// Flat evaluation state:
-    /// `[unknowns | inputs | ddt prev | idt state | h | 1/h]`.
-    slots: Vec<f64>,
-    x: Vec<f64>,
-    x_prev: Vec<f64>,
-    ws: Workspace,
-    time: f64,
-    steps: u64,
-    newton_iters: u64,
-    jacobian_builds: u64,
-    lu_factorizations: u64,
-    jacobian_reuse_hits: u64,
-    jacobian_refactors: u64,
-    steps_rejected: u64,
-    step_retries: u64,
-    dt_shrinks: u64,
-    dt_grows: u64,
-    snapshots_taken: u64,
-    snapshots_restored: u64,
-    obs: Obs,
-    obs_steps: CounterTracker,
-    obs_newton: CounterTracker,
-    obs_jacobian: CounterTracker,
-    obs_factorizations: CounterTracker,
-    obs_reuse_hits: CounterTracker,
-    obs_refactors: CounterTracker,
-    obs_rejected: CounterTracker,
-    obs_retries: CounterTracker,
-    obs_shrinks: CounterTracker,
-    obs_grows: CounterTracker,
-    obs_sparse_analyze: CounterTracker,
-    obs_sparse_refactor: CounterTracker,
-    obs_sparse_fill: CounterTracker,
-    obs_snap_taken: CounterTracker,
-    obs_snap_restored: CounterTracker,
+    batch: BatchInstance,
 }
 
-/// Historical name of [`Instance`], kept so existing call sites (and the
-/// co-simulation plumbing) keep compiling unchanged.
-pub type AmsSimulator = Instance;
-
 /// Captured LU state of a snapshot: either "the run was still on the
-/// model's shared zero-state factors" (cheap — restore re-clones from
-/// [`CompiledModel`]) or a private clone of factors the run had already
-/// refreshed, together with the modified-Newton validity flag.
+/// model's shared zero-state factors" (cheap — nothing to copy) or a
+/// private clone of factors the run had already refreshed, together with
+/// the modified-Newton validity flag.
 #[derive(Clone)]
 pub(crate) enum SnapshotLu {
-    /// The run had never factored privately: restore clones the model's
-    /// `init_lu` (when present) and keeps the recorded validity. Batch
-    /// lanes restored from this state stay eligible for the shared
-    /// multi-RHS solve fast path.
+    /// The run had never factored privately: a restored lane goes back
+    /// onto the model's `init_lu` (when present) with the recorded
+    /// validity, eligible for the shared multi-RHS solve fast path.
     Shared { valid: bool },
     /// Private factors, cloned at snapshot time with their sparse-work
     /// stats reset (the parent run already reported that work).
     Private { lu: AnyLu, valid: bool },
 }
 
-/// Cheap checkpoint of one transient run (or one batch lane): everything
+/// Cheap checkpoint of one transient run (one batch lane): everything
 /// a resumed simulation needs to continue **bit-identically** with a run
 /// that never stopped.
 ///
@@ -534,7 +473,7 @@ impl Snapshot {
     }
 }
 
-/// Builder for an [`AmsSimulator`] reference transient.
+/// Builder for an [`Instance`] reference transient.
 ///
 /// Mirrors the workspace builder idiom (`new(...)` → chained setters →
 /// `build()`):
@@ -653,7 +592,7 @@ impl<'m> Simulation<'m> {
     /// * [`AmsError::UnknownOutput`] for bad output specs;
     /// * [`AmsError::InvalidTimeStep`] for a bad `dt`;
     /// * [`AmsError::InvalidTolerance`] for a bad `newton_tol`.
-    pub fn build(self) -> Result<AmsSimulator, AmsError> {
+    pub fn build(self) -> Result<Instance, AmsError> {
         let model = Arc::new(compile_model(
             self.module,
             self.dt,
@@ -1149,12 +1088,41 @@ impl Fnv1a {
     }
 }
 
-impl AmsSimulator {
-    /// Builds the per-run state over a compiled model. When
-    /// `seed_compile_counters` is set the compile-time Jacobian
-    /// build/factorization is accounted on this instance's local counters
-    /// (the single-run [`Simulation::build`] path); sweep instances leave
-    /// it unset because [`Simulation::compile`] already reported it.
+impl CompiledModel {
+    /// Tree-walk evaluation of `e` over one flat slot block — the oracle
+    /// the compiled programs are checked against.
+    pub(crate) fn eval_tree(&self, slots: &[f64], e: &QExpr) -> f64 {
+        e.eval(&mut |q: &Quantity, _| {
+            if let Some(ph) = self.placeholders.get(q) {
+                return Some(
+                    slots[match ph {
+                        Placeholder::Ddt(k) => self.ddt_off + k,
+                        Placeholder::Idt(k) => self.idt_off + k,
+                        Placeholder::Dt => self.dt_slot,
+                        Placeholder::InvDt => self.dt_slot + 1,
+                    }],
+                );
+            }
+            match q {
+                Quantity::Input(n) => self
+                    .input_names
+                    .iter()
+                    .position(|i| i == n)
+                    .map(|i| slots[self.input_off + i]),
+                other => self.index.get(other).map(|&i| slots[i]),
+            }
+        })
+        .expect("all leaves resolvable by construction")
+    }
+}
+
+impl Instance {
+    /// Builds the per-run state over a compiled model. When `seed` is set
+    /// the compile-time Jacobian build/factorization is accounted on this
+    /// instance (the single-run [`Simulation::build`] path): the lane
+    /// starts on its own copy of the zero-state factors, sparse-analysis
+    /// stats included. Sweep instances leave it unset because
+    /// [`Simulation::compile`] already reported that work.
     fn with_model(
         model: Arc<CompiledModel>,
         obs: Obs,
@@ -1162,171 +1130,39 @@ impl AmsSimulator {
         step_control: Option<StepControl>,
         seed: bool,
     ) -> Instance {
-        let n = model.unknowns.len();
-        let (lu, lu_valid) = match &model.init_lu {
-            Some(lu) => {
-                let mut lu = lu.clone();
-                // Compile-time sparse work is reported by the compile
-                // path (or, on the single-run `build` path, stays on the
-                // seeded instance like the compile counters below).
-                if !seed {
-                    lu.reset_stats();
-                }
-                (lu, true)
-            }
-            // Seed identity factors on the model's backend so refreshes
-            // can reuse the storage; marked invalid until the first real
-            // Jacobian is factored.
-            None => {
-                let dim = n.max(1);
-                let mut ident = Triplets::new(dim, dim);
-                for i in 0..dim {
-                    ident.push(i, i, 1.0);
-                }
-                let mut lu =
-                    AnyLu::analyze_with(model.backend, &ident).expect("identity is never singular");
-                lu.reset_stats();
-                (lu, false)
-            }
-        };
-        let compile_cost = if seed && model.init_lu.is_some() {
-            1
-        } else {
-            0
-        };
-        let mut slots = vec![0.0; model.slot_count];
-        slots[model.dt_slot] = model.dt;
-        slots[model.dt_slot + 1] = 1.0 / model.dt;
-        Instance {
-            newton_tol,
-            step_control,
-            cur_dt: model.dt,
-            accept_streak: 0,
-            slots,
-            x: vec![0.0; n],
-            x_prev: vec![0.0; n],
-            ws: Workspace {
-                stack: Vec::with_capacity(model.max_stack),
-                residual: vec![0.0; n],
-                delta: vec![0.0; n],
-                jt: Triplets::new(n, n),
-                lu,
-                lu_valid,
-            },
-            time: 0.0,
-            steps: 0,
-            newton_iters: 0,
-            jacobian_builds: compile_cost,
-            lu_factorizations: compile_cost,
-            jacobian_reuse_hits: 0,
-            jacobian_refactors: 0,
-            steps_rejected: 0,
-            step_retries: 0,
-            dt_shrinks: 0,
-            dt_grows: 0,
-            snapshots_taken: 0,
-            snapshots_restored: 0,
-            obs,
-            obs_steps: CounterTracker::default(),
-            obs_newton: CounterTracker::default(),
-            obs_jacobian: CounterTracker::default(),
-            obs_factorizations: CounterTracker::default(),
-            obs_reuse_hits: CounterTracker::default(),
-            obs_refactors: CounterTracker::default(),
-            obs_rejected: CounterTracker::default(),
-            obs_retries: CounterTracker::default(),
-            obs_shrinks: CounterTracker::default(),
-            obs_grows: CounterTracker::default(),
-            obs_sparse_analyze: CounterTracker::default(),
-            obs_sparse_refactor: CounterTracker::default(),
-            obs_sparse_fill: CounterTracker::default(),
-            obs_snap_taken: CounterTracker::default(),
-            obs_snap_restored: CounterTracker::default(),
-            model,
+        let mut batch = BatchInstance::with_model(model, obs, vec![newton_tol], vec![step_control]);
+        if let (true, Some(lu)) = (seed, &batch.model.init_lu) {
+            batch.lane[0].lu = Some(lu.clone());
+            batch.jacobian_builds = 1;
+            batch.lu_factorizations = 1;
         }
+        Instance { batch }
     }
+
     /// Reports counter deltas (`amsim.steps`, `amsim.newton_iterations`,
     /// `amsim.jacobian.builds`, `amsim.lu.factorizations`,
-    /// `amsim.jacobian.reuse_hits`, `amsim.jacobian.refactor`) to the
-    /// attached collector. Called automatically on drop; call explicitly
-    /// to snapshot mid-run.
+    /// `amsim.jacobian.reuse_hits`, `amsim.jacobian.refactor`, the
+    /// `amsim.step.*`, `linalg.sparse.*` and `amsim.snapshot.*` families)
+    /// to the attached collector. Called automatically on drop; call
+    /// explicitly to snapshot mid-run.
     pub fn flush_counters(&mut self) {
-        if self.obs.enabled() {
-            let (steps, newton, jacobian) = (self.steps, self.newton_iters, self.jacobian_builds);
-            let (factorizations, reuse_hits, refactors) = (
-                self.lu_factorizations,
-                self.jacobian_reuse_hits,
-                self.jacobian_refactors,
-            );
-            self.obs_steps.flush(&self.obs, "amsim.steps", steps);
-            self.obs_newton
-                .flush(&self.obs, "amsim.newton_iterations", newton);
-            self.obs_jacobian
-                .flush(&self.obs, "amsim.jacobian.builds", jacobian);
-            self.obs_factorizations
-                .flush(&self.obs, "amsim.lu.factorizations", factorizations);
-            self.obs_reuse_hits
-                .flush(&self.obs, "amsim.jacobian.reuse_hits", reuse_hits);
-            self.obs_refactors
-                .flush(&self.obs, "amsim.jacobian.refactor", refactors);
-            let (rejected, retries, shrinks, grows) = (
-                self.steps_rejected,
-                self.step_retries,
-                self.dt_shrinks,
-                self.dt_grows,
-            );
-            self.obs_rejected
-                .flush(&self.obs, "amsim.step.rejected", rejected);
-            self.obs_retries
-                .flush(&self.obs, "amsim.step.retries", retries);
-            self.obs_shrinks
-                .flush(&self.obs, "amsim.step.dt_shrink", shrinks);
-            self.obs_grows.flush(&self.obs, "amsim.step.dt_grow", grows);
-            // Sparse-backend work (all zeros on the dense backend).
-            let sparse = self.ws.lu.sparse_stats();
-            self.obs_sparse_analyze
-                .flush(&self.obs, "linalg.sparse.analyze", sparse.analyze);
-            self.obs_sparse_refactor
-                .flush(&self.obs, "linalg.sparse.refactor", sparse.refactor);
-            self.obs_sparse_fill
-                .flush(&self.obs, "linalg.sparse.fill", sparse.fill);
-            let (taken, restored) = (self.snapshots_taken, self.snapshots_restored);
-            self.obs_snap_taken
-                .flush(&self.obs, "amsim.snapshot.taken", taken);
-            self.obs_snap_restored
-                .flush(&self.obs, "amsim.snapshot.restored", restored);
-        }
+        self.batch.flush_solver_counters();
     }
 
     /// Captures a checkpoint of the current run state: slots (ddt/idt
     /// history and the reserved `h`/`1/h` slots included), committed
-    /// unknowns, adaptive-step controller state, LU factors + validity,
-    /// and the step/Newton watermarks. The factors are cloned with their
-    /// sparse stats reset — this run has already reported that work.
+    /// unknowns, adaptive-step controller state, LU validity and the
+    /// step/Newton watermarks of the run's path (after a
+    /// [`Instance::restore`], the path continues from the restored
+    /// snapshot's watermarks). Factors the run refreshed privately are
+    /// cloned with their sparse stats reset — this run has already
+    /// reported that work; a run still on the model's shared zero-state
+    /// factors shares them with the snapshot.
     ///
     /// `&mut self` only for the `amsim.snapshot.taken` counter; the run
     /// state is untouched and stepping may continue immediately.
     pub fn snapshot(&mut self) -> Snapshot {
-        let mut lu = self.ws.lu.clone();
-        lu.reset_stats();
-        self.snapshots_taken += 1;
-        Snapshot {
-            model: Arc::clone(&self.model),
-            slots: self.slots.clone(),
-            x: self.x.clone(),
-            x_prev: self.x_prev.clone(),
-            newton_tol: self.newton_tol,
-            step_control: self.step_control,
-            cur_dt: self.cur_dt,
-            accept_streak: self.accept_streak,
-            time: self.time,
-            steps: self.steps,
-            newton_iters: self.newton_iters,
-            lu: SnapshotLu::Private {
-                lu,
-                valid: self.ws.lu_valid,
-            },
-        }
+        self.batch.snapshot_lane(0)
     }
 
     /// Rewinds this run to a checkpoint taken from the **same** compiled
@@ -1350,43 +1186,20 @@ impl AmsSimulator {
     /// Panics if the snapshot was taken from a different compiled model.
     pub fn restore(&mut self, snap: &Snapshot) {
         assert!(
-            Arc::ptr_eq(&self.model, &snap.model),
+            Arc::ptr_eq(&self.batch.model, &snap.model),
             "Instance::restore: snapshot belongs to a different compiled model"
         );
-        self.slots.copy_from_slice(&snap.slots);
-        self.x.copy_from_slice(&snap.x);
-        self.x_prev.copy_from_slice(&snap.x_prev);
-        self.newton_tol = snap.newton_tol;
-        self.step_control = snap.step_control;
-        self.cur_dt = snap.cur_dt;
-        self.accept_streak = snap.accept_streak;
-        self.time = snap.time;
-        match &snap.lu {
-            SnapshotLu::Private { lu, valid } => {
-                self.ws.lu = lu.clone();
-                self.ws.lu_valid = *valid;
-            }
-            SnapshotLu::Shared { valid } => {
-                if let Some(init) = &self.model.init_lu {
-                    let mut lu = init.clone();
-                    lu.reset_stats();
-                    self.ws.lu = lu;
-                    self.ws.lu_valid = *valid;
-                } else {
-                    // No shared zero-state factors exist: the storage is
-                    // reused and the first step refactors lazily, exactly
-                    // like a fresh instance.
-                    self.ws.lu_valid = false;
-                }
-            }
-        }
-        self.snapshots_restored += 1;
+        self.batch.restore_lane(0, snap);
+        self.batch.snapshots_restored += 1;
     }
 
-    /// Replaces the adaptive-stepping policy mid-run; `None` switches to
-    /// strict fixed-`dt` stepping. [`Instance::restore`] reinstates the
-    /// *snapshot's* policy, so the recovery ladder calls this right
-    /// after restoring to resume under a tightened control.
+    /// Replaces the adaptive-stepping policy mid-run. `None` switches to
+    /// strict fixed-`dt` stepping and resets the sub-step to the nominal
+    /// `dt` (and the regrow streak to zero), so a run that had backed off
+    /// solves its next step at the nominal `dt` it advances time by.
+    /// [`Instance::restore`] reinstates the *snapshot's* policy, so the
+    /// recovery ladder calls this right after restoring to resume under a
+    /// tightened control.
     ///
     /// # Errors
     ///
@@ -1394,117 +1207,123 @@ impl AmsSimulator {
     /// validate against the model's nominal `dt`; the current policy is
     /// left unchanged.
     pub fn set_step_control(&mut self, sc: Option<StepControl>) -> Result<(), AmsError> {
+        let dt = self.dt();
         if let Some(sc) = &sc {
-            sc.validate(self.model.dt)?;
+            sc.validate(dt)?;
         }
-        self.step_control = sc;
+        let lane = &mut self.batch.lane[0];
+        lane.step_control = sc;
+        if sc.is_none() {
+            lane.cur_dt = dt;
+            lane.accept_streak = 0;
+        }
         Ok(())
     }
 
     /// Checkpoints taken from this run (performance counter).
     pub fn snapshots_taken(&self) -> u64 {
-        self.snapshots_taken
+        self.batch.snapshots_taken
     }
 
     /// Checkpoints restored into this run (performance counter).
     pub fn snapshots_restored(&self) -> u64 {
-        self.snapshots_restored
+        self.batch.snapshots_restored
     }
 
     /// Time step in seconds.
     pub fn dt(&self) -> f64 {
-        self.model.dt
+        self.batch.model.dt
     }
 
     /// The shared compiled artifact this run steps over.
     pub fn model(&self) -> &Arc<CompiledModel> {
-        &self.model
+        &self.batch.model
     }
 
     /// Newton convergence tolerance for this run.
     pub fn newton_tol(&self) -> f64 {
-        self.newton_tol
+        self.batch.lane[0].newton_tol
     }
 
     /// Current simulated time in seconds.
     pub fn time(&self) -> f64 {
-        self.time
+        self.batch.lane[0].time
     }
 
     /// Input names in `step` order.
     pub fn input_names(&self) -> &[String] {
-        &self.model.input_names
+        &self.batch.model.input_names
     }
 
     /// Newton iterations performed so far (performance counter).
     pub fn newton_iterations(&self) -> u64 {
-        self.newton_iters
+        self.batch.newton_iters
     }
 
     /// Jacobian assemblies so far (performance counter). With the
     /// modified-Newton strategy this counts actual rebuilds, not
-    /// iterations; see [`AmsSimulator::jacobian_reuse_hits`].
+    /// iterations; see [`Instance::jacobian_reuse_hits`].
     pub fn jacobian_builds(&self) -> u64 {
-        self.jacobian_builds
+        self.batch.jacobian_builds
     }
 
     /// LU factorizations so far. Factorization follows every Jacobian
-    /// build, so this currently tracks [`AmsSimulator::jacobian_builds`];
+    /// build, so this currently tracks [`Instance::jacobian_builds`];
     /// it is counted separately because the obs report distinguishes
     /// assembly cost from factorization cost.
     pub fn lu_factorizations(&self) -> u64 {
-        self.lu_factorizations
+        self.batch.lu_factorizations
     }
 
     /// Newton iterations that reused an existing LU factorization instead
     /// of rebuilding the Jacobian (performance counter).
     pub fn jacobian_reuse_hits(&self) -> u64 {
-        self.jacobian_reuse_hits
+        self.batch.jacobian_reuse_hits
     }
 
     /// Factorization refreshes forced by the convergence-stall test
     /// (performance counter).
     pub fn jacobian_refactors(&self) -> u64 {
-        self.jacobian_refactors
+        self.batch.jacobian_refactors
     }
 
     /// Sub-steps rejected by the adaptive controller (robustness counter).
     pub fn steps_rejected(&self) -> u64 {
-        self.steps_rejected
+        self.batch.steps_rejected
     }
 
     /// Backoff retries spent (robustness counter). Equal to
-    /// [`AmsSimulator::steps_rejected`] minus the rejections that
+    /// [`Instance::steps_rejected`] minus the rejections that
     /// exhausted their budget.
     pub fn step_retries(&self) -> u64 {
-        self.step_retries
+        self.batch.step_retries
     }
 
     /// Times the sub-step was halved (robustness counter).
     pub fn dt_shrinks(&self) -> u64 {
-        self.dt_shrinks
+        self.batch.dt_shrinks
     }
 
     /// Times the sub-step was doubled back toward nominal (robustness
     /// counter).
     pub fn dt_grows(&self) -> u64 {
-        self.dt_grows
+        self.batch.dt_grows
     }
 
     /// Adaptive-stepping policy for this run (`None` means fixed-`dt`).
     pub fn step_control(&self) -> Option<StepControl> {
-        self.step_control
+        self.batch.lane[0].step_control
     }
 
     /// Current adaptive sub-step in seconds (the nominal `dt` unless the
     /// controller has backed off).
     pub fn current_dt(&self) -> f64 {
-        self.cur_dt
+        self.batch.lane[0].cur_dt
     }
 
     /// Number of unknowns in the DAE system.
     pub fn dim(&self) -> usize {
-        self.model.unknowns.len()
+        self.batch.dim()
     }
 
     /// Value of output `i` after the last step.
@@ -1513,37 +1332,12 @@ impl AmsSimulator {
     ///
     /// Panics if `i` is out of range.
     pub fn output(&self, i: usize) -> f64 {
-        self.x[self.model.output_indices[i]]
+        self.batch.output(i, 0)
     }
 
     /// Value of an arbitrary quantity.
     pub fn value(&self, q: &Quantity) -> Option<f64> {
-        self.model.index.get(q).map(|&i| self.x[i])
-    }
-
-    /// Tree-walk evaluation of `e` at the current slot state — the oracle
-    /// the compiled hot path is checked against.
-    fn eval_tree(&self, e: &QExpr) -> f64 {
-        let m = &self.model;
-        e.eval(&mut |q: &Quantity, _| {
-            if let Some(ph) = m.placeholders.get(q) {
-                return Some(match ph {
-                    Placeholder::Ddt(k) => self.slots[m.ddt_off + k],
-                    Placeholder::Idt(k) => self.slots[m.idt_off + k],
-                    Placeholder::Dt => self.slots[m.dt_slot],
-                    Placeholder::InvDt => self.slots[m.dt_slot + 1],
-                });
-            }
-            match q {
-                Quantity::Input(n) => m
-                    .input_names
-                    .iter()
-                    .position(|i| i == n)
-                    .map(|i| self.slots[m.input_off + i]),
-                other => m.index.get(other).map(|&i| self.slots[i]),
-            }
-        })
-        .expect("all leaves resolvable by construction")
+        self.batch.model.index.get(q).map(|&i| self.batch.x[i])
     }
 
     /// Evaluates every residual at the current internal state through the
@@ -1553,9 +1347,10 @@ impl AmsSimulator {
     ///
     /// Panics if `out.len() != self.dim()`.
     pub fn residuals_vm(&mut self, out: &mut [f64]) {
-        assert_eq!(out.len(), self.model.programs.len(), "residual dimension");
-        for (o, prog) in out.iter_mut().zip(&self.model.programs) {
-            *o = prog.eval(&self.slots, &mut self.ws.stack);
+        let b = &mut self.batch;
+        assert_eq!(out.len(), b.model.programs.len(), "residual dimension");
+        for (o, prog) in out.iter_mut().zip(&b.model.programs) {
+            *o = prog.eval(&b.slots, &mut b.scalar_stack);
         }
     }
 
@@ -1567,73 +1362,10 @@ impl AmsSimulator {
     ///
     /// Panics if `out.len() != self.dim()`.
     pub fn residuals_tree(&self, out: &mut [f64]) {
-        assert_eq!(out.len(), self.model.equations.len(), "residual dimension");
-        for (o, eq) in out.iter_mut().zip(&self.model.equations) {
-            *o = self.eval_tree(eq);
-        }
-    }
-
-    /// Asserts (debug builds only) that the compiled residuals agree with
-    /// the tree-walk oracle at the current state.
-    #[cfg(debug_assertions)]
-    fn debug_check_residual_oracle(&self) {
-        for (i, eq) in self.model.equations.iter().enumerate() {
-            let tree = self.eval_tree(eq);
-            let vm_val = self.ws.residual[i];
-            let scale = 1.0 + tree.abs().max(vm_val.abs());
-            // A diverged iterate legitimately produces non-finite
-            // residuals (the solver's guard rejects them right after this
-            // check); the oracle only demands both paths agree on them.
-            debug_assert!(
-                (tree - vm_val).abs() <= 1e-9 * scale
-                    || (tree.is_nan() && vm_val.is_nan())
-                    || tree == vm_val,
-                "VM residual {i} diverged from tree oracle: {vm_val} vs {tree}"
-            );
-        }
-    }
-
-    /// Builds the Jacobian at the current slot state into the workspace
-    /// triplets and refreshes the factors in place through the
-    /// [`Factorization`] seam (pattern-reusing refactor on the sparse
-    /// backend). `iteration` and `best_residual` only label the error on
-    /// a NaN/Inf Jacobian.
-    fn build_and_factor(&mut self, iteration: u32, best_residual: f64) -> Result<(), AmsError> {
-        self.jacobian_builds += 1;
-        stamp_jacobian(
-            &self.model.jacobian,
-            &self.model.programs,
-            &mut self.slots,
-            &mut self.ws.stack,
-            &mut self.ws.jt,
-        );
-        self.lu_factorizations += 1;
-        #[cfg(feature = "fault-inject")]
-        match crate::fault::active_for(0) {
-            Some(crate::fault::SolverFault::RefactorSingular) => {
-                linalg::fault::arm_refactor_failure(linalg::fault::RefactorFault::Singular)
-            }
-            Some(crate::fault::SolverFault::RefactorNonFinite) => {
-                linalg::fault::arm_refactor_failure(linalg::fault::RefactorFault::NonFinite)
-            }
-            _ => {}
-        }
-        match self.ws.lu.refactor(&self.ws.jt) {
-            Ok(()) => {
-                self.ws.lu_valid = true;
-                Ok(())
-            }
-            Err(e) => {
-                self.ws.lu_valid = false;
-                Err(match e {
-                    FactorError::NonFinite { .. } => AmsError::NonFinite {
-                        time: self.time,
-                        iteration,
-                        residual_norm: best_residual,
-                    },
-                    _ => AmsError::Singular,
-                })
-            }
+        let m = &self.batch.model;
+        assert_eq!(out.len(), m.equations.len(), "residual dimension");
+        for (o, eq) in out.iter_mut().zip(&m.equations) {
+            *o = m.eval_tree(&self.batch.slots, eq);
         }
     }
 
@@ -1646,236 +1378,14 @@ impl AmsSimulator {
     /// refresh is forced regardless of the contraction rate.
     pub(crate) const MAX_STALE_ITERS: u32 = 8;
 
-    /// Runs the Newton iteration at the current slot state — inputs and
-    /// step slots already written, iterate warm-started by the caller.
-    ///
-    /// On success the converged solution is left in `slots[..dim]`. On
-    /// failure the slots hold the diverged iterate but **no** history,
-    /// accepted state or time has been touched, so an adaptive caller can
-    /// rewind by re-copying `x_prev` and retry at a smaller step.
-    fn newton_solve(&mut self) -> Result<(), AmsError> {
-        let n = self.dim();
-        let h = self.slots[self.model.dt_slot];
-        // Injected faults (`fault-inject` builds; a scalar instance is
-        // lane 0): a residual fault poisons the first VM evaluation of
-        // this solve, a refactor fault invalidates the cached factors so
-        // the forced failure fires on this solve's first factorization.
-        #[cfg(feature = "fault-inject")]
-        let injected = crate::fault::active_for(0);
-        #[cfg(feature = "fault-inject")]
-        match injected {
-            Some(crate::fault::SolverFault::ResidualNan) => expr::fault::poison_next_eval(),
-            Some(
-                crate::fault::SolverFault::RefactorSingular
-                | crate::fault::SolverFault::RefactorNonFinite,
-            ) => self.ws.lu_valid = false,
-            None => {}
-        }
-        let mut best_residual = f64::INFINITY;
-        let mut prev_max_rel = f64::INFINITY;
-        let mut stale_iters = 0u32;
-        for iter in 1..=Self::MAX_NEWTON_ITERS {
-            self.newton_iters += 1;
-            // Residual through the compiled programs, tracking its
-            // infinity norm for the divergence guard and error payloads.
-            // Finiteness is tracked separately: `f64::max` ignores NaN,
-            // so folding alone would let a NaN residual masquerade as
-            // converged.
-            let mut res_norm: f64 = 0.0;
-            let mut finite = true;
-            for (i, prog) in self.model.programs.iter().enumerate() {
-                let v = prog.eval(&self.slots, &mut self.ws.stack);
-                finite &= v.is_finite();
-                res_norm = res_norm.max(v.abs());
-                self.ws.residual[i] = v;
-            }
-            #[cfg(debug_assertions)]
-            {
-                // A poisoned residual intentionally disagrees with the
-                // tree oracle — skip the check for that solve only.
-                #[cfg(feature = "fault-inject")]
-                let skip_oracle = matches!(injected, Some(crate::fault::SolverFault::ResidualNan));
-                #[cfg(not(feature = "fault-inject"))]
-                let skip_oracle = false;
-                if !skip_oracle {
-                    self.debug_check_residual_oracle();
-                }
-            }
-            if !finite {
-                self.ws.lu_valid = false;
-                return Err(AmsError::NonFinite {
-                    time: self.time,
-                    iteration: iter,
-                    residual_norm: best_residual,
-                });
-            }
-            best_residual = best_residual.min(res_norm);
-            // Modified Newton: factor only when no usable linearization
-            // exists; otherwise reuse the previous LU factors.
-            let fresh = !self.ws.lu_valid;
-            if fresh {
-                self.build_and_factor(iter, best_residual)?;
-                stale_iters = 0;
-            } else {
-                self.jacobian_reuse_hits += 1;
-                stale_iters += 1;
-            }
-            // Solve J·δ = −F (negate the residual in place as the rhs).
-            self.ws.residual.iter_mut().for_each(|v| *v = -*v);
-            self.ws.lu.solve_into(&self.ws.residual, &mut self.ws.delta);
-            let mut max_rel: f64 = 0.0;
-            let mut update_finite = true;
-            for (xi, di) in self.slots[..n].iter_mut().zip(&self.ws.delta) {
-                *xi += di;
-                update_finite &= xi.is_finite();
-                max_rel = max_rel.max(di.abs() / (1.0 + xi.abs()));
-            }
-            if !update_finite {
-                self.ws.lu_valid = false;
-                return Err(AmsError::NonFinite {
-                    time: self.time,
-                    iteration: iter,
-                    residual_norm: best_residual,
-                });
-            }
-            if max_rel < self.newton_tol {
-                return Ok(());
-            }
-            // Convergence-rate test: a reused factorization must keep the
-            // update norm contracting; otherwise refresh at the current
-            // iterate on the next pass.
-            let contracting = max_rel < 0.5 * prev_max_rel;
-            let stalled = !contracting || stale_iters >= Self::MAX_STALE_ITERS;
-            if !fresh && stalled {
-                self.ws.lu_valid = false;
-                self.jacobian_refactors += 1;
-            }
-            prev_max_rel = max_rel;
-        }
-        // The stale linearization is suspect after a failure.
-        self.ws.lu_valid = false;
-        Err(AmsError::NoConvergence {
-            time: self.time,
-            iterations: Self::MAX_NEWTON_ITERS,
-            residual_norm: best_residual,
-            dt: h,
-        })
-    }
-
-    /// Commits the converged iterate in `slots[..dim]` after a solve at
-    /// step `h`: refreshes the `ddt`/`idt` history sequentially (later
-    /// operands may reference earlier placeholders), publishes the
-    /// solution and advances time by `h`.
-    ///
-    /// History refresh happens **only** here — a rejected sub-step leaves
-    /// the discretized operators exactly at the last accepted state, so
-    /// retries at a halved step resample `ddt`/`idt` consistently instead
-    /// of integrating a half-updated history.
-    fn accept_substep(&mut self, h: f64) {
-        let n = self.dim();
-        for k in 0..self.model.ddt_progs.len() {
-            let v = self.model.ddt_progs[k].eval(&self.slots, &mut self.ws.stack);
-            self.slots[self.model.ddt_off + k] = v;
-        }
-        for k in 0..self.model.idt_progs.len() {
-            let v = self.model.idt_progs[k].eval(&self.slots, &mut self.ws.stack);
-            self.slots[self.model.idt_off + k] += h * v;
-        }
-        self.x.copy_from_slice(&self.slots[..n]);
-        self.x_prev.copy_from_slice(&self.slots[..n]);
-        self.time += h;
-    }
-
-    /// Writes the step slots. A changed step invalidates the cached LU
-    /// factors: the discretized Jacobian depends on `h`.
-    fn set_dt_slots(&mut self, h: f64) {
-        let slot = self.model.dt_slot;
-        if self.slots[slot] != h {
-            self.slots[slot] = h;
-            self.slots[slot + 1] = 1.0 / h;
-            self.ws.lu_valid = false;
-        }
-    }
-
-    /// One fixed-`dt` step: a single Newton solve at the nominal step,
-    /// surfacing any failure immediately.
-    fn step_fixed(&mut self) -> Result<(), AmsError> {
-        let n = self.dim();
-        // Warm start from the previous solution.
-        self.slots[..n].copy_from_slice(&self.x_prev);
-        self.newton_solve()?;
-        self.accept_substep(self.model.dt);
-        self.steps += 1;
-        Ok(())
-    }
-
-    /// One nominal step under adaptive control: cover `[t, t + dt]` with
-    /// sub-steps, halving on rejection (geometric backoff) and regrowing
-    /// toward nominal after `grow_streak` clean accepts. Every sub-step
-    /// size is `dt / 2^k`, so the interval closes exactly.
-    fn step_adaptive(&mut self, sc: StepControl) -> Result<(), AmsError> {
-        let n = self.dim();
-        let nominal = self.model.dt;
-        let t_start = self.time;
-        let mut remaining = nominal;
-        let mut consecutive_rejects = 0u32;
-        // Guard against float dust; with power-of-two sub-steps the
-        // remainder actually reaches 0.0 exactly.
-        while remaining > nominal * 1e-12 {
-            let h = self.cur_dt.min(remaining);
-            self.set_dt_slots(h);
-            // Warm start (or rewind, after a rejection) from the last
-            // accepted solution.
-            self.slots[..n].copy_from_slice(&self.x_prev);
-            match self.newton_solve() {
-                Ok(()) => {
-                    self.accept_substep(h);
-                    remaining -= h;
-                    consecutive_rejects = 0;
-                    if self.obs.enabled() {
-                        self.obs.time("amsim.dt", h);
-                    }
-                    if self.cur_dt < nominal {
-                        self.accept_streak += 1;
-                        if self.accept_streak >= sc.grow_streak {
-                            self.cur_dt = (2.0 * self.cur_dt).min(nominal);
-                            self.dt_grows += 1;
-                            self.accept_streak = 0;
-                        }
-                    }
-                }
-                Err(e) => {
-                    self.steps_rejected += 1;
-                    self.accept_streak = 0;
-                    consecutive_rejects += 1;
-                    let half = 0.5 * h;
-                    if consecutive_rejects > sc.max_retries || half < sc.min_dt {
-                        // Budget exhausted: give up with the last solver
-                        // error. State and time reflect the last
-                        // *accepted* sub-step, not the nominal boundary.
-                        return Err(e);
-                    }
-                    self.step_retries += 1;
-                    self.cur_dt = half;
-                    self.dt_shrinks += 1;
-                }
-            }
-        }
-        // Snap to the exact nominal boundary: observable time stays a
-        // multiple of `dt` regardless of the sub-step history.
-        self.time = t_start + nominal;
-        self.steps += 1;
-        Ok(())
-    }
-
     /// Advances the simulation by one nominal step.
     ///
     /// The Newton loop is allocation-free: residuals and Jacobian entries
-    /// evaluate through compiled VM programs into preallocated workspace
-    /// buffers, and the LU factorization is *reused* across iterations and
+    /// evaluate through compiled VM programs into preallocated buffers,
+    /// and the LU factorization is *reused* across iterations and
     /// accepted steps (modified Newton). The factorization refreshes only
     /// when the iteration stalls — when the update norm stops contracting
-    /// — or after [`AmsSimulator::MAX_STALE_ITERS`] reuses without
+    /// — or after [`Instance::MAX_STALE_ITERS`] reuses without
     /// convergence. Linear systems therefore factor exactly once for an
     /// entire transient.
     ///
@@ -1894,18 +1404,24 @@ impl AmsSimulator {
     /// [`AmsError::NonFinite`] on solver failure (after exhausting the
     /// backoff budget, if adaptive). On error the instance remains at its
     /// last accepted state — under adaptive control that can lie strictly
-    /// inside the nominal interval (inspect [`AmsSimulator::time`]).
+    /// inside the nominal interval (inspect [`Instance::time`]) — and
+    /// the next call steps on from there.
     ///
     /// # Panics
     ///
     /// Panics if `inputs.len()` differs from the declared input count.
     pub fn try_step(&mut self, inputs: &[f64]) -> Result<(), AmsError> {
-        assert_eq!(inputs.len(), self.model.input_names.len(), "input arity");
-        let input_off = self.model.input_off;
-        self.slots[input_off..input_off + inputs.len()].copy_from_slice(inputs);
-        match self.step_control {
-            None => self.step_fixed(),
-            Some(sc) => self.step_adaptive(sc),
+        assert_eq!(inputs.len(), self.input_names().len(), "input arity");
+        self.batch.try_step(inputs);
+        // The batch retires a faulted lane; a scalar run hands the error
+        // to its caller and stays usable.
+        let lane = &mut self.batch.lane[0];
+        match lane.error.take() {
+            None => Ok(()),
+            Some(e) => {
+                lane.active = true;
+                Err(e)
+            }
         }
     }
 
@@ -1913,7 +1429,7 @@ impl AmsSimulator {
     ///
     /// # Panics
     ///
-    /// Panics on Newton failure (see [`AmsSimulator::try_step`]) or input
+    /// Panics on Newton failure (see [`Instance::try_step`]) or input
     /// arity mismatch.
     pub fn step(&mut self, inputs: &[f64]) {
         self.try_step(inputs)
@@ -1921,9 +1437,12 @@ impl AmsSimulator {
     }
 }
 
-impl Drop for AmsSimulator {
+impl Drop for Instance {
     fn drop(&mut self) {
         self.flush_counters();
+        // The inner batch flushes again on its own drop, adding the
+        // `amsim.batch.*` families a scalar run does not report.
+        self.batch.obs = Obs::none();
     }
 }
 
@@ -2619,6 +2138,31 @@ mod tests {
             fixed.try_step(&[1.0]),
             Err(AmsError::NoConvergence { .. })
         ));
+    }
+
+    #[test]
+    fn switching_to_fixed_dt_after_backoff_steps_at_the_nominal_dt() {
+        let m = parse_module(&amsvp_core::circuits::diode_clamp()).unwrap();
+        let mut sim = Simulation::new(&m)
+            .dt(1e-4)
+            .output("V(out)")
+            .step_control(StepControl::new(1e-12))
+            .build()
+            .unwrap();
+        sim.try_step(&[5.0]).unwrap();
+        assert!(sim.current_dt() < 1e-4, "the 5 V edge must back off");
+        sim.set_step_control(None).unwrap();
+        let before = sim.output(0);
+        sim.try_step(&[0.0]).unwrap();
+        // τ = RC = 1 µs: one backward-Euler step of 100 µs divides V(out)
+        // by at least 101 — unless the solve ran at the backed-off step.
+        let after = sim.output(0);
+        assert!(
+            after.abs() < 0.02 * before.abs(),
+            "V(out) {before} -> {after} after one fixed 100 µs step"
+        );
+        assert_eq!(sim.current_dt(), 1e-4);
+        assert!((sim.time() - 2e-4).abs() < 1e-15, "time {}", sim.time());
     }
 
     #[test]

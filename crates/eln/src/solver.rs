@@ -189,7 +189,7 @@ impl ElnSnapshot {
 /// per-run half of a [`CompiledNet`].
 ///
 /// The system matrix is factored once at compile time; each
-/// [`ElnSolver::step`] performs a right-hand-side build plus one LU solve,
+/// [`ElnSolver::try_step`] performs a right-hand-side build plus one LU solve,
 /// mirroring the cost profile of the SystemC-AMS ELN solver for linear,
 /// fixed-step networks.
 #[derive(Debug)]
@@ -723,24 +723,6 @@ impl ElnSolver {
         self.net.branch_of[c.0].map(|row| self.x[row])
     }
 
-    /// Advances the network by one time step.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the solve produces a non-finite unknown (a NaN/Inf
-    /// source value, or a degenerate topology slipping past the
-    /// factorization). Use [`ElnSolver::try_step`] to handle that as a
-    /// typed error instead.
-    #[deprecated(
-        since = "0.1.0",
-        note = "panics on divergence; use `try_step` and handle the typed error"
-    )]
-    pub fn step(&mut self) {
-        if let Err(e) = self.try_step() {
-            panic!("ElnSolver::step failed: {e}");
-        }
-    }
-
     /// Advances the network by one time step, surfacing divergence as a
     /// typed error.
     ///
@@ -1261,27 +1243,6 @@ mod tests {
         fresh.set_source(v, 2.0);
         fresh.try_step().unwrap();
         assert!((fresh.node_voltage(out) - 1.0).abs() < 1e-9);
-    }
-
-    /// The deprecated panicking wrapper stays behaviorally identical to
-    /// `try_step` on healthy networks — downstream code migrating off it
-    /// must not observe a numeric change.
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_step_shim_matches_try_step() {
-        let (net, v, out) = rc();
-        let mut legacy = Transient::new(&net).dt(1e-6).build().unwrap();
-        let mut typed = Transient::new(&net).dt(1e-6).build().unwrap();
-        legacy.set_source(v, 1.0);
-        typed.set_source(v, 1.0);
-        for _ in 0..50 {
-            legacy.step();
-            typed.try_step().unwrap();
-        }
-        assert_eq!(
-            legacy.node_voltage(out).to_bits(),
-            typed.node_voltage(out).to_bits()
-        );
     }
 
     #[test]

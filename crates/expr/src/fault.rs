@@ -1,26 +1,19 @@
 //! Deterministic fault injection for the bytecode VM.
 //!
 //! Compiled only under the `fault-inject` feature. A harness *poisons*
-//! the next evaluation on the current thread; the VM then replaces the
-//! computed value with NaN — modeling a residual evaluation that went
-//! non-finite — without perturbing any arithmetic before or after.
-//! Take-once semantics (the poison clears as it fires) plus
-//! thread-local scoping keep the injection deterministic under
-//! work-stealing: exactly one evaluation is poisoned per arming, and
-//! only on the arming thread.
+//! chosen lanes of the next batched evaluation on the current thread;
+//! the VM then replaces those lanes' computed values with NaN — modeling
+//! a residual evaluation that went non-finite — without perturbing any
+//! arithmetic before or after. Take-once semantics (the poison clears as
+//! it fires) plus thread-local scoping keep the injection deterministic
+//! under work-stealing: exactly one evaluation is poisoned per arming,
+//! and only on the arming thread.
 
 use std::cell::Cell;
 
 thread_local! {
-    static SCALAR_POISON: Cell<bool> = const { Cell::new(false) };
     /// Bitmask of lanes to poison on the next `eval_lanes` call.
     static LANE_POISON: Cell<u64> = const { Cell::new(0) };
-}
-
-/// Poisons the next [`Program::eval`](crate::vm::Program::eval) on this
-/// thread: it computes normally, then returns NaN.
-pub fn poison_next_eval() {
-    SCALAR_POISON.with(|c| c.set(true));
 }
 
 /// Poisons lane `lane` of the next
@@ -39,12 +32,7 @@ pub fn poison_next_eval_lane(lane: usize) {
 
 /// Clears any pending poison on this thread.
 pub fn clear_poison() {
-    SCALAR_POISON.with(|c| c.set(false));
     LANE_POISON.with(|c| c.set(0));
-}
-
-pub(crate) fn take_scalar_poison() -> bool {
-    SCALAR_POISON.with(|c| c.take())
 }
 
 pub(crate) fn take_lane_poison() -> u64 {

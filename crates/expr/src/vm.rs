@@ -135,12 +135,7 @@ impl Program {
             }
         }
         debug_assert_eq!(stack.len(), 1, "program left a non-singleton stack");
-        let result = stack.pop().expect("empty program");
-        #[cfg(feature = "fault-inject")]
-        if crate::fault::take_scalar_poison() {
-            return f64::NAN;
-        }
-        result
+        stack.pop().expect("empty program")
     }
 
     /// Evaluates the program over `lanes` independent slot blocks at once
@@ -160,6 +155,10 @@ impl Program {
     /// (NaN payloads included). This is a design requirement the batched
     /// solver relies on, not a tolerance.
     ///
+    /// One lane is the scalar layout (`slots[s * 1 + 0] == slots[s]`), so
+    /// `lanes == 1` runs [`Program::eval`] itself: the contract above makes
+    /// that bit-identical, and it skips the lane loops of width one.
+    ///
     /// `stack` is scratch space of `max_stack * lanes` values, reused
     /// across calls; it is resized on entry.
     ///
@@ -168,11 +167,32 @@ impl Program {
     /// Panics if `out.len() != lanes`, if a `Load` references a slot
     /// outside `slots` for the given lane count, or if the program is
     /// empty.
+    // Always inlined: a one-lane caller then calls `eval` straight from
+    // its own loop, as a scalar evaluator would.
+    #[inline(always)]
     pub fn eval_lanes(&self, slots: &[f64], lanes: usize, stack: &mut Vec<f64>, out: &mut [f64]) {
         assert_eq!(out.len(), lanes, "output lane count");
-        if lanes == 0 {
-            return;
+        match lanes {
+            0 => {}
+            1 => out[0] = self.eval(slots, stack),
+            _ => self.eval_soa(slots, lanes, stack, out),
         }
+        #[cfg(feature = "fault-inject")]
+        {
+            let mask = crate::fault::take_lane_poison();
+            if mask != 0 {
+                for (l, v) in out.iter_mut().enumerate().take(64) {
+                    if mask & (1u64 << l) != 0 {
+                        *v = f64::NAN;
+                    }
+                }
+            }
+        }
+    }
+
+    /// The lane-vector interpreter behind [`Program::eval_lanes`] for two
+    /// or more lanes.
+    fn eval_soa(&self, slots: &[f64], lanes: usize, stack: &mut Vec<f64>, out: &mut [f64]) {
         stack.clear();
         stack.resize(self.max_stack.max(1) * lanes, 0.0);
         let mut depth = 0usize;
@@ -255,17 +275,6 @@ impl Program {
         }
         assert_eq!(depth, 1, "program left a non-singleton stack");
         out.copy_from_slice(&stack[..lanes]);
-        #[cfg(feature = "fault-inject")]
-        {
-            let mask = crate::fault::take_lane_poison();
-            if mask != 0 {
-                for (l, v) in out.iter_mut().enumerate().take(64) {
-                    if mask & (1u64 << l) != 0 {
-                        *v = f64::NAN;
-                    }
-                }
-            }
-        }
     }
 }
 

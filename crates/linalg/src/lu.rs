@@ -270,7 +270,8 @@ impl LuFactors {
     /// `solve_into(&b_lane_l, ..)`: per lane the substitution performs the
     /// same multiply/subtract sequence in the same order; only the loop
     /// nesting changes. Batched sweeps rely on this to reproduce scalar
-    /// waveforms exactly.
+    /// waveforms exactly, and a single lane (whose layout is the scalar
+    /// one) runs [`LuFactors::solve_into`] itself.
     ///
     /// # Panics
     ///
@@ -281,6 +282,9 @@ impl LuFactors {
         assert_eq!(b.len(), n * lanes, "rhs lane-block dimension mismatch");
         assert_eq!(x.len(), n * lanes, "solution lane-block dimension mismatch");
         assert_eq!(acc.len(), lanes, "accumulator lane count mismatch");
+        if lanes == 1 {
+            return self.solve_into(b, x);
+        }
         // Forward substitution with permutation: L·y = P·b.
         for i in 0..n {
             acc.copy_from_slice(&b[self.perm[i] * lanes..(self.perm[i] + 1) * lanes]);

@@ -267,7 +267,8 @@ impl SparseLu {
     /// Solves `lanes` right-hand sides at once over the `[row][lane]`
     /// layout of lane-batched sweeps. Per lane the multiply/subtract
     /// sequence is identical to [`SparseLu::solve_into`], so each lane's
-    /// solution is **bit-identical** to its scalar twin.
+    /// solution is **bit-identical** to its scalar twin; a single lane
+    /// (whose layout is the scalar one) runs `solve_into` itself.
     ///
     /// # Panics
     ///
@@ -278,6 +279,9 @@ impl SparseLu {
         assert_eq!(b.len(), n * lanes, "rhs lane-block dimension mismatch");
         assert_eq!(x.len(), n * lanes, "solution lane-block dimension mismatch");
         assert_eq!(acc.len(), lanes, "accumulator lane count mismatch");
+        if lanes == 1 {
+            return self.solve_into(b, x);
+        }
         for k in 0..n {
             let (src, dst) = (self.rowperm[k] * lanes, self.q[k] * lanes);
             x[dst..dst + lanes].copy_from_slice(&b[src..src + lanes]);
