@@ -141,8 +141,8 @@ impl Lane {
 /// addressed `(index, lane)`; [`BatchInstance::try_step`] advances every
 /// active lane by one nominal step. A faulted lane is retired to a typed
 /// [`AmsError`] ([`BatchInstance::lane_error`]) without disturbing its
-/// siblings; see the [module docs](self) for layout, masking and the
-/// bit-determinism contract.
+/// siblings; the `batch` module's source docs cover layout, masking and
+/// the bit-determinism contract.
 ///
 /// The Newton loop is allocation-free: every buffer it touches is
 /// preallocated here, and each lane's LU factorization is *reused* across

@@ -416,7 +416,7 @@ pub(crate) enum SnapshotLu {
 /// `[unknowns | inputs | ddt prev | idt state | h | 1/h]` (the idt
 /// accumulators and ddt history live inside it), the committed unknown
 /// vectors, the adaptive-step controller state (current sub-step and
-/// grow streak), the LU validity ([`SnapshotLu`]), and watermarks of the
+/// grow streak), the LU validity (`SnapshotLu`), and watermarks of the
 /// monotone work counters so forked runs can report path-cumulative
 /// totals without double-counting prefix work.
 ///
@@ -1385,7 +1385,7 @@ impl Instance {
     /// and the LU factorization is *reused* across iterations and
     /// accepted steps (modified Newton). The factorization refreshes only
     /// when the iteration stalls — when the update norm stops contracting
-    /// — or after [`Instance::MAX_STALE_ITERS`] reuses without
+    /// — or after a fixed number of reuses (`MAX_STALE_ITERS`) without
     /// convergence. Linear systems therefore factor exactly once for an
     /// entire transient.
     ///

@@ -163,7 +163,7 @@ impl LuFactors {
     /// [`FactorError::NotSquare`] or [`FactorError::NonFinite`] input the
     /// stored factors are untouched, while after
     /// [`FactorError::Singular`] they are invalid and must not be used
-    /// for [`LuFactors::solve`] until a subsequent factorization
+    /// for [`LuFactors::solve_into`] until a subsequent factorization
     /// succeeds.
     pub fn factor_into(&mut self, a: &Matrix) -> Result<(), FactorError> {
         if !a.is_square() {

@@ -58,8 +58,8 @@ pub struct SparseStats {
 
 /// Sparse LU factors with a frozen symbolic pattern.
 ///
-/// See the [module docs](self) for the analyze/refactor life cycle. Built
-/// from the same [`Triplets`] stamps as the dense path:
+/// The `sparse` module's source docs cover the analyze/refactor life
+/// cycle. Built from the same [`Triplets`] stamps as the dense path:
 ///
 /// ```
 /// use amsvp_linalg::{SparseLu, Triplets};

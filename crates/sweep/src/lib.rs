@@ -22,6 +22,15 @@
 //! — so the merged [`Report`] is identical regardless of worker count or
 //! scheduling.
 //!
+//! Every batched AMS sweep ([`run_ams_sweep_batched`],
+//! [`run_ams_sweep_recovering`], [`run_ams_sweep_tree`] and the `_with`
+//! variants) runs through **one lane-block driver**: a job queue of up to
+//! `lane_width` sibling segments per [`amsim::BatchInstance`]. A flat
+//! scenario list is the depth-1 [`ScenarioTree`], and the batched sweep
+//! is the recovering sweep with the ladder off. Observers get one event
+//! per run of consecutive scenarios a block resolves ([`SweepEvent`]);
+//! [`run_ams_sweep`] is the per-instance reference.
+//!
 //! # Example
 //!
 //! ```
@@ -45,10 +54,10 @@ use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc;
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::time::Instant;
 
-use amsim::{AmsError, BatchInstance, CompiledModel, InputFrame, Snapshot};
+use amsim::{AmsError, BatchInstance, CompiledModel, Snapshot};
 use amsvp_core::circuits::Stimulus;
 use eln::{CompiledNet, ElnError, NodeId, SourceId};
 use obs::{Obs, Report};
@@ -291,17 +300,22 @@ impl ScenarioCtx {
 }
 
 /// One finished unit of sweep work, handed to the incremental result
-/// observer of [`SweepEngine::run_isolated_with`] /
-/// [`SweepEngine::run_batched_with`] **before** the final merge.
+/// observer of [`SweepEngine::run_isolated_with`],
+/// [`run_ams_sweep_batched_with`] or [`run_ams_sweep_recovering_with`]
+/// **before** the final merge.
 ///
 /// Scalar sweeps deliver one scenario per event (`results.len() == 1`,
-/// `first_index` = the scenario index); batched sweeps deliver one
-/// lane-block per event (`first_index` = the block's first scenario
-/// index, `results` in block order). Events arrive in **completion
-/// order** — scheduling-dependent by nature; a streaming consumer that
-/// needs a deterministic byte stream must reorder on `first_index`
-/// (the per-scenario payloads themselves are bit-identical for any
-/// worker count, so index order is all it takes).
+/// `first_index` = the scenario index). Batched sweeps deliver one
+/// event per maximal run of consecutive leaves a lane-block resolves
+/// (`first_index` = the run's first scenario index, `results` in input
+/// order), with the block's report on its first event and an empty
+/// report on any later one. Every flat sweep is a depth-1 forest whose
+/// blocks resolve whole runs, so there that is one event per
+/// lane-block. Events arrive in **completion order** —
+/// scheduling-dependent by nature; a streaming consumer that needs a
+/// deterministic byte stream must reorder on `first_index` (the
+/// per-scenario payloads themselves are bit-identical for any worker
+/// count, so index order is all it takes).
 ///
 /// `report` is the unit's private [`Obs`] snapshot, taken **after** the
 /// scenario body finished — including instance `Drop`/`flush_counters`
@@ -485,37 +499,12 @@ impl SweepEngine {
     /// Panics if the body returns a result count different from its
     /// block's scenario count; propagates panics from `f` once all
     /// workers have stopped. (Fault isolation *within* a block is the
-    /// body's job — see [`run_ams_sweep_batched`].)
+    /// body's job, as in the fleet runner's device blocks.)
     pub fn run_batched<S, R, F>(&self, scenarios: &[S], lane_width: usize, f: F) -> SweepOutcome<R>
     where
         S: Sync,
         R: Send,
         F: Fn(&ScenarioCtx, &[S]) -> Vec<R> + Sync,
-    {
-        self.run_batched_with(scenarios, lane_width, f, |_| {})
-    }
-
-    /// [`SweepEngine::run_batched`] with an incremental result observer:
-    /// `observe` fires on the caller's thread once per finished
-    /// lane-block, in completion order, **before** the final merge. The
-    /// event's `first_index` is the block's first scenario index and its
-    /// `results` cover the block in input order; its `report` is the
-    /// block's snapshot taken after the body returned (so a body that
-    /// flushes its batch counters before returning — as
-    /// [`run_ams_sweep_batched`] does — delivers every lane's partial
-    /// counters with the event, faulted lanes included).
-    pub fn run_batched_with<S, R, F, O>(
-        &self,
-        scenarios: &[S],
-        lane_width: usize,
-        f: F,
-        mut observe: O,
-    ) -> SweepOutcome<R>
-    where
-        S: Sync,
-        R: Send,
-        F: Fn(&ScenarioCtx, &[S]) -> Vec<R> + Sync,
-        O: FnMut(SweepEvent<'_, R>),
     {
         let lane_width = lane_width.max(1);
         let workers = self.workers;
@@ -569,12 +558,6 @@ impl SweepEngine {
             drop(tx);
             for (b, w, rs, report, secs) in rx {
                 let base = b * lane_width;
-                observe(SweepEvent {
-                    first_index: base,
-                    results: &rs,
-                    report: &report,
-                    worker: w,
-                });
                 per_worker[w] += rs.len() as u64;
                 for (i, r) in rs.into_iter().enumerate() {
                     debug_assert!(
@@ -865,6 +848,9 @@ pub struct AmsRun {
 /// their counters on drop, so even a faulted scenario's partial solver
 /// counters reach the merged report.
 ///
+/// This is the per-instance reference the batched sweeps are tested
+/// against; it does not go through the lane-block driver.
+///
 /// # Errors
 ///
 /// [`AmsError::InvalidTolerance`] / [`AmsError::InvalidStepControl`] if
@@ -877,16 +863,7 @@ pub fn run_ams_sweep(
     scenarios: &[AmsScenario],
     budget: &ScenarioBudget,
 ) -> Result<SweepOutcome<ScenarioOutcome<AmsRun, AmsError>>, AmsError> {
-    for sc in scenarios {
-        if let Some(tol) = sc.newton_tol {
-            if !(tol.is_finite() && tol > 0.0) {
-                return Err(AmsError::InvalidTolerance { tol });
-            }
-        }
-        if let Some(ctrl) = sc.step_control {
-            ctrl.validate(model.dt())?;
-        }
-    }
+    Forest::of_scenarios(scenarios).check(&[model.dt()])?;
     let dt = model.dt();
     let n_inputs = model.input_names().len();
     Ok(engine.run_isolated(scenarios, budget, move |ctx, sc| {
@@ -923,6 +900,10 @@ pub fn run_ams_sweep(
 /// whole block per batched bytecode pass instead of one scenario at a
 /// time.
 ///
+/// This is [`run_ams_sweep_recovering`] with the recovery ladder off
+/// (`max_recoveries: 0`): the scenarios run through the one lane-block
+/// driver as a depth-1 forest, every scenario a childless root.
+///
 /// Every lane's waveform is **bit-identical** to the same scenario under
 /// [`run_ams_sweep`] — the batch performs the scalar path's IEEE ops in
 /// the scalar order, per lane — so `lane_width` (like the worker count)
@@ -955,13 +936,13 @@ pub fn run_ams_sweep_batched(
     run_ams_sweep_batched_with(engine, model, scenarios, lane_width, budget, |_| {})
 }
 
-/// [`run_ams_sweep_batched`] with an incremental result observer
-/// ([`SweepEngine::run_batched_with`]): `observe` fires once per finished
-/// lane-block with that block's [`ScenarioOutcome`]s and its counter
-/// snapshot, before the final merge. The block body flushes its batch
-/// instance's counters **before** returning, so the event's report
-/// already contains every lane's partial `amsim.*` counters — including
-/// lanes that faulted, panicked, or tripped the budget mid-block (the
+/// [`run_ams_sweep_batched`] with an incremental result observer:
+/// `observe` fires once per finished lane-block with that block's
+/// [`ScenarioOutcome`]s and its counter snapshot, before the final
+/// merge (see [`SweepEvent`]). The driver flushes the block's batch
+/// instance counters **before** the event, so its report already
+/// contains every lane's partial `amsim.*` counters — including lanes
+/// that faulted, panicked, or tripped the budget mid-block (the
 /// `Drop`-flush guarantee merged reports have, extended to the stream).
 pub fn run_ams_sweep_batched_with<O>(
     engine: &SweepEngine,
@@ -974,127 +955,15 @@ pub fn run_ams_sweep_batched_with<O>(
 where
     O: FnMut(SweepEvent<'_, ScenarioOutcome<AmsRun, AmsError>>),
 {
-    for sc in scenarios {
-        if let Some(tol) = sc.newton_tol {
-            if !(tol.is_finite() && tol > 0.0) {
-                return Err(AmsError::InvalidTolerance { tol });
-            }
-        }
-        if let Some(ctrl) = sc.step_control {
-            ctrl.validate(model.dt())?;
-        }
-    }
-    let dt = model.dt();
-    let n_inputs = model.input_names().len();
-    let body = move |ctx: &ScenarioCtx, block: &[AmsScenario]| {
-        let lanes = block.len();
-        let mut builder = model
-            .batch_instance_builder(lanes)
-            .collector(ctx.obs.clone());
-        for (l, sc) in block.iter().enumerate() {
-            if let Some(tol) = sc.newton_tol {
-                builder = builder.lane_newton_tol(l, tol);
-            }
-            if let Some(ctrl) = sc.step_control {
-                builder = builder.lane_step_control(l, ctrl);
-            }
-        }
-        let mut batch = builder.build().expect("overrides validated up front");
-        let track_wall = budget.wall_cap().is_some();
-        let max_steps = block.iter().map(|sc| sc.steps).max().unwrap_or(0);
-        let mut waveforms: Vec<Vec<f64>> = block
-            .iter()
-            .map(|sc| Vec::with_capacity(sc.steps))
-            .collect();
-        // Per-lane faults the *batch* cannot see (stimulus panics, budget
-        // trips); Newton faults live on the batch's lanes themselves.
-        let mut lane_fault: Vec<Option<ScenarioOutcome<AmsRun, AmsError>>> =
-            (0..lanes).map(|_| None).collect();
-        let mut charged = vec![0u64; lanes];
-        // Per-lane wall account: each lane is charged only for time spent
-        // on its own behalf (its stimulus samples, its share of each
-        // batched solve), so a slow sibling cannot trip a healthy lane's
-        // `max_wall` the way the block's shared clock used to.
-        let mut lane_wall = vec![0.0f64; lanes];
-        let mut in_solve = vec![false; lanes];
-        let mut inputs = InputFrame::new(n_inputs, lanes);
-        for k in 0..max_steps {
-            // Sample every healthy lane's stimulus, catching panics and
-            // charging the budget per lane so one bad scenario never
-            // poisons its block.
-            for (l, sc) in block.iter().enumerate() {
-                if lane_fault[l].is_some() || !batch.lane_active(l) {
-                    continue;
-                }
-                if k >= sc.steps {
-                    // Shorter scenario: done — mask it out of the block.
-                    batch.retire(l);
-                    continue;
-                }
-                charged[l] += 1;
-                if let Err(b) = budget.check(charged[l], lane_wall[l]) {
-                    lane_fault[l] = Some(ScenarioOutcome::Budget(b));
-                    batch.retire(l);
-                    continue;
-                }
-                let sample_t0 = track_wall.then(Instant::now);
-                match catch_unwind(AssertUnwindSafe(|| sc.stim.value(k as f64 * dt))) {
-                    Ok(u) => inputs.broadcast(l, u),
-                    Err(payload) => {
-                        lane_fault[l] = Some(ScenarioOutcome::Panicked(panic_message(payload)));
-                        batch.retire(l);
-                    }
-                }
-                if let Some(t0) = sample_t0 {
-                    lane_wall[l] += t0.elapsed().as_secs_f64();
-                }
-            }
-            let solving = batch.active_lanes();
-            if solving == 0 {
-                break;
-            }
-            for (l, s) in in_solve.iter_mut().enumerate() {
-                *s = batch.lane_active(l);
-            }
-            let solve_t0 = track_wall.then(Instant::now);
-            batch.try_step(inputs.as_slice());
-            if let Some(t0) = solve_t0 {
-                let share = t0.elapsed().as_secs_f64() / solving as f64;
-                for (l, _) in in_solve.iter().enumerate().filter(|(_, s)| **s) {
-                    lane_wall[l] += share;
-                }
-            }
-            for (l, sc) in block.iter().enumerate() {
-                if k < sc.steps && lane_fault[l].is_none() && batch.lane_active(l) {
-                    waveforms[l].push(batch.output(0, l));
-                }
-            }
-        }
-        let results: Vec<ScenarioOutcome<AmsRun, AmsError>> = block
-            .iter()
-            .enumerate()
-            .zip(waveforms)
-            .map(|((l, sc), waveform)| {
-                if let Some(fault) = lane_fault[l].take() {
-                    return fault;
-                }
-                if let Some(e) = batch.lane_error(l) {
-                    return ScenarioOutcome::failed(e.clone());
-                }
-                ScenarioOutcome::Ok(AmsRun {
-                    name: sc.name.clone(),
-                    waveform,
-                    newton_iters: batch.lane_newton_iterations(l),
-                })
-            })
-            .collect();
-        batch.flush_counters();
-        results
-    };
-    let mut out = engine.run_batched_with(scenarios, lane_width, body, observe);
-    // Same stable fault-tally schema as the scalar isolated sweep.
-    merge_fault_tally(&mut out.report, &out.results, false);
-    Ok(out)
+    run_ams_sweep_recovering_with(
+        engine,
+        model,
+        scenarios,
+        lane_width,
+        budget,
+        &Recovery::disabled(),
+        observe,
+    )
 }
 
 // ----------------------------------------------------- scenario trees
@@ -1115,20 +984,6 @@ pub struct ScenarioSegment {
     pub steps: usize,
     /// Divergent continuations; empty makes this segment a leaf.
     pub children: Vec<ScenarioSegment>,
-}
-
-impl ScenarioSegment {
-    fn count_nodes(&self) -> usize {
-        1 + self.children.iter().map(Self::count_nodes).sum::<usize>()
-    }
-
-    fn count_leaves(&self) -> usize {
-        if self.children.is_empty() {
-            1
-        } else {
-            self.children.iter().map(Self::count_leaves).sum()
-        }
-    }
 }
 
 /// One root of a [`ScenarioTree`]: a segment tree plus the solver
@@ -1161,12 +1016,12 @@ pub struct ScenarioTree {
 impl ScenarioTree {
     /// Total segments in the forest.
     pub fn node_count(&self) -> usize {
-        self.roots.iter().map(|r| r.segment.count_nodes()).sum()
+        Forest::of_tree(self).nodes.len()
     }
 
     /// Total leaves — the number of result slots a tree sweep produces.
     pub fn leaf_count(&self) -> usize {
-        self.roots.iter().map(|r| r.segment.count_leaves()).sum()
+        Forest::of_tree(self).leaves
     }
 }
 
@@ -1194,172 +1049,6 @@ impl From<Vec<AmsScenario>> for ScenarioTree {
     }
 }
 
-/// Flattened view of one segment, in depth-first preorder.
-struct FlatNode<'t> {
-    seg: &'t ScenarioSegment,
-    /// Preorder ids of the segment's children.
-    children: Vec<usize>,
-    /// Absolute step index at which this segment starts.
-    k0: usize,
-    /// First leaf index below this node (leaves below any node are
-    /// contiguous in depth-first order).
-    first_leaf: usize,
-    /// Number of leaves below this node (≥ 1); the amortization share
-    /// for budget charging.
-    leaves_below: usize,
-    /// Root overrides, copied down so root-chunk jobs can build lanes.
-    newton_tol: Option<f64>,
-    step_control: Option<amsim::StepControl>,
-}
-
-fn flatten_segment<'t>(
-    seg: &'t ScenarioSegment,
-    k0: usize,
-    first_leaf: usize,
-    newton_tol: Option<f64>,
-    step_control: Option<amsim::StepControl>,
-    flat: &mut Vec<FlatNode<'t>>,
-) -> usize {
-    let id = flat.len();
-    flat.push(FlatNode {
-        seg,
-        children: Vec::new(),
-        k0,
-        first_leaf,
-        leaves_below: 0,
-        newton_tol,
-        step_control,
-    });
-    if seg.children.is_empty() {
-        flat[id].leaves_below = 1;
-        return id;
-    }
-    let mut leaf = first_leaf;
-    let mut child_ids = Vec::with_capacity(seg.children.len());
-    for child in &seg.children {
-        let cid = flatten_segment(child, k0 + seg.steps, leaf, newton_tol, step_control, flat);
-        leaf += flat[cid].leaves_below;
-        child_ids.push(cid);
-    }
-    flat[id].children = child_ids;
-    flat[id].leaves_below = leaf - first_leaf;
-    id
-}
-
-/// One chunk of sibling segments simulated as one [`BatchInstance`]:
-/// either a root chunk (fresh lanes from `t = 0`) or a fork chunk
-/// seeded from the parent's snapshot.
-struct TreeJob {
-    /// Preorder node ids, ≤ `lane_width` of them, one per lane.
-    nodes: Vec<usize>,
-    /// Checkpoint to fork from; `None` for root chunks.
-    snap: Option<Arc<Snapshot>>,
-    /// Waveform of the shared prefix (chained back to the root).
-    prefix: Option<Arc<WaveSeg>>,
-    /// Amortized budget steps already charged to this path at entry.
-    charged: f64,
-    /// Wall seconds already attributed to this path at entry.
-    wall: f64,
-}
-
-/// One segment's worth of `output(0)` samples, chained to its parent —
-/// leaves concatenate the chain into a full root-to-leaf waveform.
-struct WaveSeg {
-    parent: Option<Arc<WaveSeg>>,
-    samples: Vec<f64>,
-}
-
-fn path_waveform(prefix: &Option<Arc<WaveSeg>>, own: &[f64]) -> Vec<f64> {
-    let mut chain = Vec::new();
-    let mut cur = prefix.as_ref();
-    while let Some(seg) = cur {
-        chain.push(seg);
-        cur = seg.parent.as_ref();
-    }
-    let total: usize = chain.iter().map(|s| s.samples.len()).sum::<usize>() + own.len();
-    let mut wave = Vec::with_capacity(total);
-    for seg in chain.iter().rev() {
-        wave.extend_from_slice(&seg.samples);
-    }
-    wave.extend_from_slice(own);
-    wave
-}
-
-/// A fault that retires a whole subtree: recorded once on the faulting
-/// lane, materialized into every leaf slot below it.
-enum SubtreeFault {
-    Failed(AmsError),
-    Panicked(String),
-    Budget(BudgetExceeded),
-}
-
-impl SubtreeFault {
-    fn outcome(&self) -> ScenarioOutcome<AmsRun, AmsError> {
-        match self {
-            SubtreeFault::Failed(e) => ScenarioOutcome::failed(e.clone()),
-            SubtreeFault::Panicked(msg) => ScenarioOutcome::Panicked(msg.clone()),
-            SubtreeFault::Budget(b) => ScenarioOutcome::Budget(*b),
-        }
-    }
-}
-
-/// Work queue for subtree jobs. Unlike the fixed-list engines, jobs
-/// *create* jobs (a finished prefix fans its children out), so the pool
-/// tracks outstanding work explicitly: workers sleep on the condvar
-/// while the queue is empty but running jobs may still fork, and exit
-/// once no job is queued or running.
-struct TreeQueue {
-    /// `(queued jobs, jobs created but not yet completed)`.
-    state: Mutex<(VecDeque<TreeJob>, usize)>,
-    cv: Condvar,
-}
-
-impl TreeQueue {
-    fn seeded(jobs: Vec<TreeJob>) -> TreeQueue {
-        let outstanding = jobs.len();
-        TreeQueue {
-            state: Mutex::new((jobs.into(), outstanding)),
-            cv: Condvar::new(),
-        }
-    }
-
-    /// Claims a job, blocking while outstanding jobs may still fork new
-    /// ones; `None` once the whole forest is drained.
-    fn pop(&self) -> Option<TreeJob> {
-        let mut s = self.state.lock().expect("tree queue poisoned");
-        loop {
-            if let Some(job) = s.0.pop_front() {
-                return Some(job);
-            }
-            if s.1 == 0 {
-                return None;
-            }
-            s = self.cv.wait(s).expect("tree queue poisoned");
-        }
-    }
-
-    /// Enqueues fork jobs created by a running (still-outstanding) job.
-    fn push(&self, jobs: Vec<TreeJob>) {
-        let mut s = self.state.lock().expect("tree queue poisoned");
-        s.1 += jobs.len();
-        s.0.extend(jobs);
-        drop(s);
-        self.cv.notify_all();
-    }
-
-    /// Marks one claimed job finished; wakes sleepers when the forest is
-    /// drained so they can exit.
-    fn complete(&self) {
-        let mut s = self.state.lock().expect("tree queue poisoned");
-        s.1 -= 1;
-        let drained = s.1 == 0;
-        drop(s);
-        if drained {
-            self.cv.notify_all();
-        }
-    }
-}
-
 /// Sweeps a [`ScenarioTree`] over one shared compiled Verilog-AMS model,
 /// simulating every shared prefix **once**: a segment with children runs
 /// as a single lane, snapshots at its end
@@ -1374,7 +1063,8 @@ impl TreeQueue {
 /// `t = 0` — the snapshot replays the exact ddt/idt history, adaptive-dt
 /// state and factorization validity, and stimuli are sampled at absolute
 /// time — so tree structure (like `lane_width` and the worker count) is
-/// a pure performance knob. A flat `Vec<AmsScenario>` converted via
+/// a pure performance knob. The flat sweeps run through the same driver
+/// as depth-1 forests, so a flat `Vec<AmsScenario>` converted via
 /// `ScenarioTree::from` reproduces [`run_ams_sweep_batched`] exactly.
 ///
 /// **Budgets** are charged against each lane's own path: a step of a
@@ -1406,312 +1096,739 @@ pub fn run_ams_sweep_tree(
     lane_width: usize,
     budget: &ScenarioBudget,
 ) -> Result<SweepOutcome<ScenarioOutcome<AmsRun, AmsError>>, AmsError> {
-    for root in &tree.roots {
-        if let Some(tol) = root.newton_tol {
-            if !(tol.is_finite() && tol > 0.0) {
-                return Err(AmsError::InvalidTolerance { tol });
-            }
-        }
-        if let Some(ctrl) = root.step_control {
-            ctrl.validate(model.dt())?;
-        }
-    }
-    let lane_width = lane_width.max(1);
-    let workers = engine.worker_count();
-    let dt = model.dt();
-    let n_inputs = model.input_names().len();
-    let start = Instant::now();
-
-    // Flatten the forest in depth-first preorder; leaves below any node
-    // come out contiguous, so a subtree fault maps to a leaf range.
-    let mut flat: Vec<FlatNode<'_>> = Vec::new();
-    let mut root_ids = Vec::with_capacity(tree.roots.len());
-    let mut first_leaf = 0;
-    for root in &tree.roots {
-        let id = flatten_segment(
-            &root.segment,
-            0,
-            first_leaf,
-            root.newton_tol,
-            root.step_control,
-            &mut flat,
-        );
-        first_leaf += flat[id].leaves_below;
-        root_ids.push(id);
-    }
-    let n_leaves = first_leaf;
-    let n_nodes = flat.len();
-
-    // Seed the queue with root chunks; forks are pushed by running jobs.
-    let seed_jobs: Vec<TreeJob> = root_ids
-        .chunks(lane_width)
-        .map(|nodes| TreeJob {
-            nodes: nodes.to_vec(),
-            snap: None,
-            prefix: None,
-            charged: 0.0,
-            wall: 0.0,
-        })
-        .collect();
-    let queue = TreeQueue::seeded(seed_jobs);
-
-    type LeafResults = Vec<(usize, ScenarioOutcome<AmsRun, AmsError>)>;
-    let (tx, rx) = mpsc::channel::<(usize, usize, LeafResults, Report, f64)>();
-
-    let mut results: Vec<Option<ScenarioOutcome<AmsRun, AmsError>>> = Vec::with_capacity(n_leaves);
-    results.resize_with(n_leaves, || None);
-    let mut scenario_reports = vec![Report::default(); n_leaves];
-    let mut per_worker = vec![0u64; workers];
-    // `(first node id, report, secs)` per job, sorted by node id before
-    // merging so the merged report never depends on scheduling.
-    let mut job_reports: Vec<(usize, Report, f64)> = Vec::new();
-
-    std::thread::scope(|scope| {
-        for w in 0..workers {
-            let tx = tx.clone();
-            let queue = &queue;
-            let flat = &flat;
-            scope.spawn(move || {
-                while let Some(job) = queue.pop() {
-                    let t0 = Instant::now();
-                    let obs = Obs::recording();
-                    let (leaves, forks) =
-                        run_tree_job(&job, flat, model, dt, n_inputs, lane_width, budget, &obs);
-                    let secs = t0.elapsed().as_secs_f64();
-                    let report = obs.report().unwrap_or_default();
-                    let disconnected = tx.send((job.nodes[0], w, leaves, report, secs)).is_err();
-                    // Children go in before this job completes, so the
-                    // outstanding count never transiently hits zero.
-                    queue.push(forks);
-                    queue.complete();
-                    if disconnected {
-                        return;
-                    }
-                }
-            });
-        }
-        drop(tx);
-        for (node0, w, leaves, report, secs) in rx {
-            per_worker[w] += leaves.len() as u64;
-            for (leaf, outcome) in leaves {
-                debug_assert!(results[leaf].is_none(), "leaf {leaf} resolved twice");
-                results[leaf] = Some(outcome);
-            }
-            job_reports.push((node0, report, secs));
-        }
-    });
-
-    let wall = start.elapsed().as_secs_f64();
-
-    // A job's report is attached at its first node's first leaf. Two
-    // jobs can share that leaf (a prefix and its first fork chunk), so
-    // reports are merged in node-id order — deterministic for any
-    // scheduling — rather than assigned.
-    job_reports.sort_by_key(|(node0, _, _)| *node0);
-    for (node0, report, _) in &job_reports {
-        scenario_reports[flat[*node0].first_leaf].merge(report);
-    }
-    let mut report = Report::default();
-    for r in &scenario_reports {
-        report.merge(r);
-    }
-    let sweep_obs = Obs::recording();
-    sweep_obs.add("sweep.scenarios", n_leaves as u64);
-    sweep_obs.add("sweep.workers", workers as u64);
-    sweep_obs.add("sweep.batch.blocks", job_reports.len() as u64);
-    sweep_obs.add("sweep.tree.nodes", n_nodes as u64);
-    for (w, count) in per_worker.iter().enumerate() {
-        sweep_obs.add(&format!("sweep.worker.{w}.scenarios"), *count);
-    }
-    for (_, _, secs) in &job_reports {
-        sweep_obs.time("sweep.block", *secs);
-    }
-    sweep_obs.time("sweep.wall", wall);
-    report.merge(&sweep_obs.report().unwrap_or_default());
-
-    let results: Vec<ScenarioOutcome<AmsRun, AmsError>> = results
-        .into_iter()
-        .map(|r| r.expect("every leaf is resolved by exactly one job"))
-        .collect();
-    // Same stable fault-tally schema as the other isolated sweeps.
-    merge_fault_tally(&mut report, &results, false);
-
-    Ok(SweepOutcome {
-        results,
-        scenario_reports,
-        report,
-        wall,
-        workers,
-    })
+    let forest = Forest::of_tree(tree);
+    forest.check(&[model.dt()])?;
+    let mut out = forest.run(
+        engine,
+        model,
+        lane_width,
+        budget,
+        &Recovery::disabled(),
+        |_| {},
+    );
+    out.report
+        .counters
+        .insert("sweep.tree.nodes".to_string(), forest.nodes.len() as u64);
+    Ok(out)
 }
 
-/// Leaf results of one tree job: `(leaf index, outcome)` pairs.
-type LeafOutcomes = Vec<(usize, ScenarioOutcome<AmsRun, AmsError>)>;
+// ------------------------------------------------- the lane-block driver
 
-/// Runs one [`TreeJob`]: steps its sibling segments as a lane-block,
-/// then classifies each lane into leaf outcomes (emitted now) or fork
-/// jobs (returned for the queue).
-#[allow(clippy::too_many_arguments)]
-fn run_tree_job(
-    job: &TreeJob,
-    flat: &[FlatNode<'_>],
-    model: &Arc<CompiledModel>,
-    dt: f64,
-    n_inputs: usize,
-    lane_width: usize,
-    budget: &ScenarioBudget,
-    obs: &Obs,
-) -> (LeafOutcomes, Vec<TreeJob>) {
-    let lanes = job.nodes.len();
-    let mut batch = match &job.snap {
-        Some(snap) => BatchInstance::fork_from(snap, lanes, obs.clone()),
-        None => {
-            let mut builder = model.batch_instance_builder(lanes).collector(obs.clone());
-            for (l, &id) in job.nodes.iter().enumerate() {
-                if let Some(tol) = flat[id].newton_tol {
-                    builder = builder.lane_newton_tol(l, tol);
-                }
-                if let Some(ctrl) = flat[id].step_control {
-                    builder = builder.lane_step_control(l, ctrl);
-                }
-            }
-            builder.build().expect("overrides validated up front")
+/// Flattened view of one segment, in depth-first preorder. Borrows the
+/// caller's name, stimulus and overrides, so a `&[AmsScenario]` becomes
+/// depth-1 nodes without moving or cloning a boxed stimulus.
+struct FlatNode<'t> {
+    name: &'t str,
+    stim: &'t (dyn Stimulus + Send + Sync),
+    /// Nominal-dt steps of this segment.
+    steps: usize,
+    /// Root overrides, copied down so root-chunk jobs can build lanes.
+    newton_tol: Option<f64>,
+    step_control: Option<amsim::StepControl>,
+    /// Preorder ids of the segment's children.
+    children: Vec<usize>,
+    /// Absolute step index at which this segment starts.
+    k0: usize,
+    /// First leaf index below this node (leaves below any node are
+    /// contiguous in depth-first order).
+    first_leaf: usize,
+    /// Number of leaves below this node (≥ 1); the amortization share
+    /// for budget charging.
+    leaves_below: usize,
+}
+
+/// A scenario forest flattened for the driver.
+#[derive(Default)]
+struct Forest<'t> {
+    /// Every segment, in depth-first preorder.
+    nodes: Vec<FlatNode<'t>>,
+    /// Preorder ids of the roots, in input order.
+    roots: Vec<usize>,
+    /// Total leaves — the number of result slots.
+    leaves: usize,
+}
+
+impl<'t> Forest<'t> {
+    /// A flat scenario list as the depth-1 forest: every scenario is a
+    /// childless root, so node id = leaf index = scenario index.
+    fn of_scenarios(scenarios: &'t [AmsScenario]) -> Forest<'t> {
+        let nodes: Vec<FlatNode<'t>> = scenarios
+            .iter()
+            .enumerate()
+            .map(|(i, sc)| FlatNode {
+                name: &sc.name,
+                stim: sc.stim.as_ref(),
+                steps: sc.steps,
+                newton_tol: sc.newton_tol,
+                step_control: sc.step_control,
+                children: Vec::new(),
+                k0: 0,
+                first_leaf: i,
+                leaves_below: 1,
+            })
+            .collect();
+        Forest {
+            roots: (0..nodes.len()).collect(),
+            leaves: nodes.len(),
+            nodes,
         }
-    };
-    let track_wall = budget.wall_cap().is_some();
-    let max_steps = job
-        .nodes
-        .iter()
-        .map(|&id| flat[id].seg.steps)
-        .max()
-        .unwrap_or(0);
-    let mut waveforms: Vec<Vec<f64>> = job
-        .nodes
-        .iter()
-        .map(|&id| Vec::with_capacity(flat[id].seg.steps))
-        .collect();
-    let mut lane_fault: Vec<Option<SubtreeFault>> = (0..lanes).map(|_| None).collect();
-    // Budget accounts continue the path's: a step of a segment shared by
-    // `s` leaves charges 1/s of a step (and 1/s of the measured wall
-    // share), amortizing prefix cost exactly over its beneficiaries.
-    let mut charged = vec![job.charged; lanes];
-    let mut lane_wall = vec![job.wall; lanes];
-    let mut in_solve = vec![false; lanes];
-    let mut inputs = vec![0.0; n_inputs * lanes];
-    for k in 0..max_steps {
-        for (l, &id) in job.nodes.iter().enumerate() {
-            if lane_fault[l].is_some() || !batch.lane_active(l) {
-                continue;
+    }
+
+    fn of_tree(tree: &'t ScenarioTree) -> Forest<'t> {
+        let mut forest = Forest::default();
+        for root in &tree.roots {
+            let id = forest.push(&root.segment, 0, (root.newton_tol, root.step_control));
+            forest.roots.push(id);
+        }
+        forest
+    }
+
+    /// Appends `seg` and its subtree in preorder, starting at absolute
+    /// step `k0`, and returns the segment's id. Leaves are numbered in
+    /// visiting order, so a subtree fault maps to a leaf range.
+    /// `overrides` are the root's `(newton_tol, step_control)`.
+    fn push(
+        &mut self,
+        seg: &'t ScenarioSegment,
+        k0: usize,
+        overrides: (Option<f64>, Option<amsim::StepControl>),
+    ) -> usize {
+        let id = self.nodes.len();
+        let first_leaf = self.leaves;
+        self.nodes.push(FlatNode {
+            name: &seg.name,
+            stim: seg.stim.as_ref(),
+            steps: seg.steps,
+            newton_tol: overrides.0,
+            step_control: overrides.1,
+            children: Vec::new(),
+            k0,
+            first_leaf,
+            leaves_below: 0,
+        });
+        if seg.children.is_empty() {
+            self.leaves += 1;
+        } else {
+            self.nodes[id].children = seg
+                .children
+                .iter()
+                .map(|child| self.push(child, k0 + seg.steps, overrides))
+                .collect();
+        }
+        self.nodes[id].leaves_below = self.leaves - first_leaf;
+        id
+    }
+
+    /// Rejects ill-formed solver overrides before any worker starts:
+    /// configuration mistakes are the caller's bug and fail the sweep;
+    /// only *runtime* faults are isolated. Each step control is validated
+    /// against every nominal `dt` in `dts` (one per model a lane may run
+    /// on).
+    fn check(&self, dts: &[f64]) -> Result<(), AmsError> {
+        for node in &self.nodes {
+            if let Some(tol) = node.newton_tol {
+                if !(tol.is_finite() && tol > 0.0) {
+                    return Err(AmsError::InvalidTolerance { tol });
+                }
             }
-            let node = &flat[id];
-            if k >= node.seg.steps {
-                // Shorter sibling: done — mask it out of the block.
-                batch.retire(l);
-                continue;
+            if let Some(ctrl) = node.step_control {
+                for &dt in dts {
+                    ctrl.validate(dt)?;
+                }
             }
-            let share = node.leaves_below as f64;
-            charged[l] += 1.0 / share;
-            if let Err(b) = budget.check(charged[l].round() as u64, lane_wall[l]) {
-                lane_fault[l] = Some(SubtreeFault::Budget(b));
-                batch.retire(l);
-                continue;
+        }
+        Ok(())
+    }
+}
+
+/// One chunk of sibling segments simulated as one [`BatchInstance`]:
+/// either a root chunk (fresh lanes from `t = 0`) or a fork chunk
+/// seeded from the parent's snapshot.
+struct Job {
+    /// Preorder node ids, ≤ `lane_width` of them, one per lane.
+    nodes: Vec<usize>,
+    /// Checkpoint to fork from; `None` for root chunks.
+    snap: Option<Arc<Snapshot>>,
+    /// Waveform of the shared prefix (chained back to the root).
+    prefix: Option<Arc<WaveSeg>>,
+    /// Amortized budget steps already charged to this path at entry.
+    charged: f64,
+    /// Wall seconds already attributed to this path at entry.
+    wall: f64,
+}
+
+/// One segment's worth of `output(0)` samples, chained to its parent —
+/// leaves concatenate the chain into a full root-to-leaf waveform.
+struct WaveSeg {
+    parent: Option<Arc<WaveSeg>>,
+    samples: Vec<f64>,
+}
+
+/// The root-to-leaf waveform of `path_len` samples: the prefix chain
+/// followed by `own` (returned as is for a root, which has no prefix).
+fn path_waveform(prefix: &Option<Arc<WaveSeg>>, own: Vec<f64>, path_len: usize) -> Vec<f64> {
+    fn append(wave: &mut Vec<f64>, seg: &WaveSeg) {
+        if let Some(parent) = &seg.parent {
+            append(wave, parent);
+        }
+        wave.extend_from_slice(&seg.samples);
+    }
+    let Some(prefix) = prefix else { return own };
+    let mut wave = Vec::with_capacity(path_len);
+    append(&mut wave, prefix);
+    wave.extend_from_slice(&own);
+    wave
+}
+
+/// Why a lane stopped early. Recorded once on the faulting lane; every
+/// leaf below it gets the matching outcome, unless the recovery ladder
+/// takes a `Failed` or `Panicked` lane over.
+enum LaneFault {
+    Failed(AmsError),
+    Panicked(String),
+    Budget(BudgetExceeded),
+}
+
+impl LaneFault {
+    fn outcome(&self) -> ScenarioOutcome<AmsRun, AmsError> {
+        match self {
+            LaneFault::Failed(e) => ScenarioOutcome::failed(e.clone()),
+            LaneFault::Panicked(msg) => ScenarioOutcome::Panicked(msg.clone()),
+            LaneFault::Budget(b) => ScenarioOutcome::Budget(*b),
+        }
+    }
+}
+
+/// One lane of a running job: its segment, its samples so far, and its
+/// per-lane accounts.
+struct LaneRun<'a> {
+    node: &'a FlatNode<'a>,
+    /// This segment's `output(0)` samples.
+    waveform: Vec<f64>,
+    /// A fault the batch cannot see (stimulus panic, budget trip,
+    /// cancellation); Newton faults live on the batch lane itself.
+    fault: Option<LaneFault>,
+    /// Budget accounts continue the path's: a step of a segment shared
+    /// by `s` leaves charges 1/s of a step (and 1/s of the measured wall
+    /// share), amortizing prefix cost exactly over its beneficiaries.
+    /// Each lane is charged only for time spent on its own behalf, so a
+    /// slow sibling cannot trip a healthy lane's `max_wall`.
+    charged: f64,
+    wall: f64,
+    /// Whether the lane entered the current batched solve.
+    in_solve: bool,
+    /// Last periodic checkpoint, with the waveform length at capture
+    /// time (= the nominal step the resume rung restarts at).
+    checkpoint: Option<(Snapshot, usize)>,
+    /// The fault plan's pick, keyed by the lane's first leaf (the
+    /// scenario index at depth 1) so the same scenarios fault at any
+    /// lane width; always `None` unless `fault-inject` is compiled in.
+    plan: Option<FaultSpec>,
+}
+
+impl LaneRun<'_> {
+    /// Charges one step of this lane's segment and checks both caps.
+    fn charge(&mut self, budget: &ScenarioBudget) -> Result<(), BudgetExceeded> {
+        self.charged += 1.0 / self.node.leaves_below as f64;
+        budget.check(self.charged.round() as u64, self.wall)
+    }
+
+    /// The budget verdict of a cancelled lane: its accounts as they
+    /// stand, against the caps in force.
+    fn killed(&self, budget: &ScenarioBudget) -> BudgetExceeded {
+        BudgetExceeded {
+            steps: self.charged.round() as u64,
+            wall: self.wall,
+            max_steps: budget.step_cap(),
+            max_wall: budget.wall_cap(),
+        }
+    }
+
+    /// The fault planned for local step `k`, if any.
+    fn planned(&self, k: usize) -> Option<FaultKind> {
+        self.plan
+            .filter(|spec| spec.step == k as u64)
+            .map(|spec| spec.kind)
+    }
+}
+
+/// The outcomes of one run of consecutive leaves, starting at the given
+/// leaf index.
+type LeafRun = (usize, Vec<ScenarioOutcome<AmsRun, AmsError>>);
+
+/// Appends `outcome` for `leaf`, extending the last run when it is
+/// consecutive.
+fn push_leaf(runs: &mut Vec<LeafRun>, leaf: usize, outcome: ScenarioOutcome<AmsRun, AmsError>) {
+    match runs.last_mut() {
+        Some((first, outcomes)) if *first + outcomes.len() == leaf => outcomes.push(outcome),
+        _ => runs.push((leaf, vec![outcome])),
+    }
+}
+
+/// Work queue for jobs. Jobs *create* jobs (a finished prefix fans its
+/// children out), so the pool tracks outstanding work explicitly:
+/// workers sleep on the condvar while the queue is empty but running
+/// jobs may still fork, and exit once no job is queued or running.
+struct JobQueue {
+    /// `(queued jobs, jobs created but not yet completed)`.
+    state: Mutex<(VecDeque<Job>, usize)>,
+    cv: Condvar,
+}
+
+impl JobQueue {
+    /// Claims a job, blocking while outstanding jobs may still fork new
+    /// ones; `None` once the whole forest is drained.
+    fn pop(&self) -> Option<Job> {
+        let mut s = self.state.lock().expect("job queue poisoned");
+        loop {
+            if let Some(job) = s.0.pop_front() {
+                return Some(job);
             }
-            let sample_t0 = track_wall.then(Instant::now);
-            // Absolute-time sampling: the same instant the flat run
-            // would have sampled at step `k0 + k`.
-            let t = (node.k0 + k) as f64 * dt;
-            match catch_unwind(AssertUnwindSafe(|| node.seg.stim.value(t))) {
-                Ok(u) => {
-                    for i in 0..n_inputs {
-                        inputs[i * lanes + l] = u;
+            if s.1 == 0 {
+                return None;
+            }
+            s = self.cv.wait(s).expect("job queue poisoned");
+        }
+    }
+
+    /// Enqueues fork jobs created by a running (still-outstanding) job.
+    fn push(&self, jobs: Vec<Job>) {
+        let mut s = self.state.lock().expect("job queue poisoned");
+        s.1 += jobs.len();
+        s.0.extend(jobs);
+        drop(s);
+        self.cv.notify_all();
+    }
+}
+
+/// Marks a claimed job finished when dropped — on return and when the
+/// job panics, so the panic propagates out of the sweep instead of
+/// leaving the other workers waiting for a count that never reaches
+/// zero. Wakes sleepers once the forest is drained so they can exit.
+struct Claimed<'q>(&'q JobQueue);
+
+impl Drop for Claimed<'_> {
+    fn drop(&mut self) {
+        // May run while unwinding, so it must not panic: a poisoned lock
+        // is recovered, since every update leaves the state valid.
+        let mut s = self.0.state.lock().unwrap_or_else(PoisonError::into_inner);
+        s.1 -= 1;
+        let drained = s.1 == 0;
+        drop(s);
+        if drained {
+            self.0.cv.notify_all();
+        }
+    }
+}
+
+/// What every job of one sweep shares.
+struct Driver<'a> {
+    model: &'a Arc<CompiledModel>,
+    nodes: &'a [FlatNode<'a>],
+    lane_width: usize,
+    budget: &'a ScenarioBudget,
+    recovery: &'a Recovery,
+}
+
+impl Forest<'_> {
+    /// The one lane-block driver behind every batched AMS sweep: flat
+    /// sweeps are depth-1 forests, the plain batched sweep is the
+    /// recovering one with the ladder off, and tree sweeps fork shared
+    /// prefixes. Root chunks of up to `lane_width` roots seed a job queue;
+    /// a job that finishes a shared segment pushes its children's chunks.
+    ///
+    /// Results land in leaf order. A job's report is attached at its first
+    /// node's first leaf, and `observe` fires on the caller's thread once per
+    /// maximal run of consecutive leaves a job resolves, with the job's
+    /// report on the first event (one event per lane-block at depth 1).
+    fn run<O>(
+        &self,
+        engine: &SweepEngine,
+        model: &Arc<CompiledModel>,
+        lane_width: usize,
+        budget: &ScenarioBudget,
+        recovery: &Recovery,
+        mut observe: O,
+    ) -> SweepOutcome<ScenarioOutcome<AmsRun, AmsError>>
+    where
+        O: FnMut(SweepEvent<'_, ScenarioOutcome<AmsRun, AmsError>>),
+    {
+        let lane_width = lane_width.max(1);
+        let workers = engine.worker_count();
+        let start = Instant::now();
+        let driver = Driver {
+            model,
+            nodes: &self.nodes,
+            lane_width,
+            budget,
+            recovery,
+        };
+        // Seed the queue with root chunks; running jobs push the forks.
+        let roots: VecDeque<Job> = self
+            .roots
+            .chunks(lane_width)
+            .map(|nodes| Job {
+                nodes: nodes.to_vec(),
+                snap: None,
+                prefix: None,
+                charged: 0.0,
+                wall: 0.0,
+            })
+            .collect();
+        let outstanding = roots.len();
+        let queue = JobQueue {
+            state: Mutex::new((roots, outstanding)),
+            cv: Condvar::new(),
+        };
+        let (tx, rx) = mpsc::channel::<(usize, usize, Vec<LeafRun>, Report, f64)>();
+
+        let mut results: Vec<Option<ScenarioOutcome<AmsRun, AmsError>>> =
+            Vec::with_capacity(self.leaves);
+        results.resize_with(self.leaves, || None);
+        let mut scenario_reports = vec![Report::default(); self.leaves];
+        let mut per_worker = vec![0u64; workers];
+        // `(first node id, report, secs)` per job, placed in node-id order
+        // after the run so the merged report never depends on scheduling.
+        let mut job_reports: Vec<(usize, Report, f64)> = Vec::new();
+
+        std::thread::scope(|scope| {
+            for w in 0..workers {
+                let tx = tx.clone();
+                let queue = &queue;
+                let driver = &driver;
+                scope.spawn(move || {
+                    while let Some(job) = queue.pop() {
+                        let _claimed = Claimed(queue);
+                        let t0 = Instant::now();
+                        let obs = Obs::recording();
+                        let (runs, forks) = driver.run_job(&job, &obs);
+                        let secs = t0.elapsed().as_secs_f64();
+                        let report = obs.report().unwrap_or_default();
+                        let disconnected = tx.send((job.nodes[0], w, runs, report, secs)).is_err();
+                        // Children go in before this job completes, so the
+                        // outstanding count never transiently hits zero.
+                        queue.push(forks);
+                        if disconnected {
+                            return;
+                        }
+                    }
+                });
+            }
+            drop(tx);
+            let empty = Report::default();
+            for (node0, w, runs, report, secs) in rx {
+                for (i, (first, outcomes)) in runs.iter().enumerate() {
+                    observe(SweepEvent {
+                        first_index: *first,
+                        results: outcomes,
+                        report: if i == 0 { &report } else { &empty },
+                        worker: w,
+                    });
+                }
+                for (first, outcomes) in runs {
+                    per_worker[w] += outcomes.len() as u64;
+                    for (leaf, outcome) in (first..).zip(outcomes) {
+                        debug_assert!(results[leaf].is_none(), "leaf {leaf} resolved twice");
+                        results[leaf] = Some(outcome);
                     }
                 }
-                Err(payload) => {
-                    lane_fault[l] = Some(SubtreeFault::Panicked(panic_message(payload)));
-                    batch.retire(l);
-                }
+                job_reports.push((node0, report, secs));
             }
-            if let Some(t0) = sample_t0 {
-                lane_wall[l] += t0.elapsed().as_secs_f64() / share;
-            }
-        }
-        let solving = batch.active_lanes();
-        if solving == 0 {
-            break;
-        }
-        for (l, s) in in_solve.iter_mut().enumerate() {
-            *s = batch.lane_active(l);
-        }
-        let solve_t0 = track_wall.then(Instant::now);
-        batch.try_step(&inputs);
-        if let Some(t0) = solve_t0 {
-            let split = t0.elapsed().as_secs_f64() / solving as f64;
-            for (l, &id) in job.nodes.iter().enumerate() {
-                if in_solve[l] {
-                    lane_wall[l] += split / flat[id].leaves_below as f64;
-                }
+        });
+
+        let wall = start.elapsed().as_secs_f64();
+
+        // Two jobs can share a first leaf (a prefix and its first fork
+        // chunk), so reports land in node-id order: the first moves into the
+        // slot, later ones merge into it.
+        job_reports.sort_by_key(|(node0, _, _)| *node0);
+        let sweep_obs = Obs::recording();
+        sweep_obs.add("sweep.batch.blocks", job_reports.len() as u64);
+        for (node0, job_report, secs) in job_reports {
+            sweep_obs.time("sweep.block", secs);
+            let slot = &mut scenario_reports[self.nodes[node0].first_leaf];
+            if slot.counters.is_empty() && slot.timers.is_empty() {
+                *slot = job_report;
+            } else {
+                slot.merge(&job_report);
             }
         }
-        for (l, &id) in job.nodes.iter().enumerate() {
-            if k < flat[id].seg.steps && lane_fault[l].is_none() && batch.lane_active(l) {
-                waveforms[l].push(batch.output(0, l));
-            }
+        let mut report = Report::default();
+        for r in &scenario_reports {
+            report.merge(r);
         }
+        sweep_obs.add("sweep.scenarios", self.leaves as u64);
+        sweep_obs.add("sweep.workers", workers as u64);
+        for (w, count) in per_worker.iter().enumerate() {
+            sweep_obs.add(&format!("sweep.worker.{w}.scenarios"), *count);
+        }
+        sweep_obs.time("sweep.wall", wall);
+        report.merge(&sweep_obs.report().unwrap_or_default());
+
+        let results: Vec<ScenarioOutcome<AmsRun, AmsError>> = results
+            .into_iter()
+            .map(|r| r.expect("every leaf is resolved by exactly one job"))
+            .collect();
+        // Same stable fault-tally schema as the scalar isolated sweep.
+        merge_fault_tally(&mut report, &results, driver.ladder());
+
+        SweepOutcome {
+            results,
+            scenario_reports,
+            report,
+            wall,
+            workers,
+        }
+    }
+}
+
+impl Driver<'_> {
+    /// Whether faulted lanes climb the recovery ladder. Only the flat
+    /// recovering sweep enables it, so a laddered lane is always a whole
+    /// scenario run from `t = 0`.
+    fn ladder(&self) -> bool {
+        self.recovery.policy.max_recoveries > 0
     }
 
-    let mut leaves: Vec<(usize, ScenarioOutcome<AmsRun, AmsError>)> = Vec::new();
-    let mut forks: Vec<TreeJob> = Vec::new();
-    for (l, &id) in job.nodes.iter().enumerate() {
-        let node = &flat[id];
-        // A fault retires the whole subtree: every leaf below gets the
-        // record, and no children are forked.
-        let fault = match lane_fault[l].take() {
-            Some(f) => Some(f),
-            None => batch.lane_error(l).map(|e| SubtreeFault::Failed(e.clone())),
-        };
-        if let Some(fault) = fault {
-            for leaf in node.first_leaf..node.first_leaf + node.leaves_below {
-                leaves.push((leaf, fault.outcome()));
+    /// Runs one [`Job`]: steps its sibling segments as a lane-block, then
+    /// classifies each lane into leaf outcomes (returned as runs of
+    /// consecutive leaves) or fork jobs (returned for the queue).
+    fn run_job(&self, job: &Job, obs: &Obs) -> (Vec<LeafRun>, Vec<Job>) {
+        let n_lanes = job.nodes.len();
+        let mut batch = match &job.snap {
+            Some(snap) => BatchInstance::fork_from(snap, n_lanes, obs.clone()),
+            None => {
+                let mut builder = self
+                    .model
+                    .batch_instance_builder(n_lanes)
+                    .collector(obs.clone());
+                for (l, &id) in job.nodes.iter().enumerate() {
+                    if let Some(tol) = self.nodes[id].newton_tol {
+                        builder = builder.lane_newton_tol(l, tol);
+                    }
+                    if let Some(ctrl) = self.nodes[id].step_control {
+                        builder = builder.lane_step_control(l, ctrl);
+                    }
+                }
+                builder.build().expect("overrides validated up front")
             }
-            continue;
+        };
+        let dt = self.model.dt();
+        let budget = self.budget;
+        let track_wall = budget.wall_cap().is_some();
+        let snap_every = if self.ladder() {
+            self.recovery.policy.snapshot_every_n_steps
+        } else {
+            0
+        };
+        let cancel = self.recovery.cancel.as_deref();
+        let mut lanes: Vec<LaneRun<'_>> = job
+            .nodes
+            .iter()
+            .map(|&id| {
+                let node = &self.nodes[id];
+                LaneRun {
+                    node,
+                    waveform: Vec::with_capacity(node.steps),
+                    fault: None,
+                    charged: job.charged,
+                    wall: job.wall,
+                    in_solve: false,
+                    checkpoint: None,
+                    plan: if cfg!(feature = "fault-inject") {
+                        self.recovery
+                            .plan
+                            .fault_for(node.first_leaf, node.steps as u64)
+                    } else {
+                        None
+                    },
+                }
+            })
+            .collect();
+        let max_steps = lanes.iter().map(|lane| lane.node.steps).max().unwrap_or(0);
+        let mut inputs = batch.input_frame();
+        let mut cancelled = false;
+        for k in 0..max_steps {
+            cancelled = cancelled || cancel.is_some_and(|c| c.load(Ordering::Relaxed));
+            // Sample every healthy lane's stimulus, catching panics and
+            // charging the budget per lane so one bad lane never poisons
+            // its block.
+            for (l, lane) in lanes.iter_mut().enumerate() {
+                if lane.fault.is_some() || !batch.lane_active(l) {
+                    continue;
+                }
+                let node = lane.node;
+                if k >= node.steps {
+                    // Shorter sibling: done — mask it out of the block.
+                    batch.retire(l);
+                    continue;
+                }
+                if cancelled {
+                    // Hard kill: a budget verdict, never a ladder entry.
+                    lane.fault = Some(LaneFault::Budget(lane.killed(budget)));
+                    batch.retire(l);
+                    continue;
+                }
+                if let Err(b) = lane.charge(budget) {
+                    lane.fault = Some(LaneFault::Budget(b));
+                    batch.retire(l);
+                    continue;
+                }
+                // Planned stimulus faults fire inside the timed sample,
+                // so a stall is charged to the lane's wall account.
+                let injected = lane.planned(k);
+                if let Some(kind @ (FaultKind::StimulusPanic | FaultKind::StimulusStall { .. })) =
+                    injected
+                {
+                    obs.add(&format!("fault.injected.{}", kind.name()), 1);
+                }
+                let sample_t0 = track_wall.then(Instant::now);
+                // Absolute-time sampling: the same instant a flat run
+                // samples at step `k0 + k`.
+                let t = (node.k0 + k) as f64 * dt;
+                match catch_unwind(AssertUnwindSafe(|| {
+                    match injected {
+                        Some(FaultKind::StimulusPanic) => {
+                            panic!("injected stimulus panic at step {k}")
+                        }
+                        Some(FaultKind::StimulusStall { millis }) => {
+                            std::thread::sleep(std::time::Duration::from_millis(millis));
+                        }
+                        _ => {}
+                    }
+                    node.stim.value(t)
+                })) {
+                    Ok(u) => inputs.broadcast(l, u),
+                    Err(payload) => {
+                        lane.fault = Some(LaneFault::Panicked(panic_message(payload)));
+                        batch.retire(l);
+                    }
+                }
+                if let Some(t0) = sample_t0 {
+                    lane.wall += t0.elapsed().as_secs_f64() / node.leaves_below as f64;
+                }
+            }
+            let solving = batch.active_lanes();
+            if solving == 0 {
+                break;
+            }
+            for (l, lane) in lanes.iter_mut().enumerate() {
+                lane.in_solve = batch.lane_active(l);
+            }
+            // Arm this step's planned solver faults around the one
+            // nominal batched step. The guard drops right after, so
+            // ladder replays never re-inject.
+            #[cfg(feature = "fault-inject")]
+            let guard = {
+                let mut armed: Vec<(usize, amsim::fault::SolverFault)> = Vec::new();
+                for (l, lane) in lanes.iter().enumerate() {
+                    let Some(kind) = lane.planned(k).filter(|_| lane.in_solve) else {
+                        continue;
+                    };
+                    let sf = match kind {
+                        FaultKind::ResidualNan => amsim::fault::SolverFault::ResidualNan,
+                        FaultKind::RefactorSingular => amsim::fault::SolverFault::RefactorSingular,
+                        FaultKind::RefactorNonFinite => {
+                            amsim::fault::SolverFault::RefactorNonFinite
+                        }
+                        _ => continue,
+                    };
+                    obs.add(&format!("fault.injected.{}", kind.name()), 1);
+                    armed.push((l, sf));
+                }
+                amsim::fault::inject(&armed)
+            };
+            let solve_t0 = track_wall.then(Instant::now);
+            batch.try_step(inputs.as_slice());
+            #[cfg(feature = "fault-inject")]
+            drop(guard);
+            if let Some(t0) = solve_t0 {
+                let split = t0.elapsed().as_secs_f64() / solving as f64;
+                for lane in lanes.iter_mut().filter(|lane| lane.in_solve) {
+                    lane.wall += split / lane.node.leaves_below as f64;
+                }
+            }
+            for (l, lane) in lanes.iter_mut().enumerate() {
+                if k < lane.node.steps && lane.fault.is_none() && batch.lane_active(l) {
+                    lane.waveform.push(batch.output(0, l));
+                }
+            }
+            // Periodic checkpoints feed the resume rung. Snapshots read
+            // (never mutate) lane state, so healthy waveforms stay
+            // bit-identical to a run without them.
+            if snap_every > 0 && (k as u64 + 1).is_multiple_of(snap_every) {
+                for (l, lane) in lanes.iter_mut().enumerate() {
+                    if k + 1 < lane.node.steps && lane.fault.is_none() && batch.lane_active(l) {
+                        lane.checkpoint = Some((batch.snapshot_lane(l), lane.waveform.len()));
+                    }
+                }
+            }
         }
-        if node.children.is_empty() {
-            leaves.push((
-                node.first_leaf,
-                ScenarioOutcome::Ok(AmsRun {
-                    name: node.seg.name.clone(),
-                    waveform: path_waveform(&job.prefix, &waveforms[l]),
-                    // Path-cumulative: fork_from seeds the lane from the
-                    // snapshot's watermark, so this equals the flat
-                    // run's count for the same root-to-leaf path.
-                    newton_iters: batch.lane_newton_iterations(l),
-                }),
-            ));
-            continue;
+
+        let mut runs: Vec<LeafRun> = Vec::new();
+        let mut forks: Vec<Job> = Vec::new();
+        for (l, lane) in lanes.iter_mut().enumerate() {
+            let node = lane.node;
+            let fault = lane
+                .fault
+                .take()
+                .or_else(|| batch.lane_error(l).map(|e| LaneFault::Failed(e.clone())));
+            match fault {
+                // Budget verdicts (cancellations included) are final.
+                Some(fault @ (LaneFault::Failed(_) | LaneFault::Panicked(_))) if self.ladder() => {
+                    let outcome = recovery::run_ladder(self, lane, fault, obs);
+                    push_leaf(&mut runs, node.first_leaf, outcome);
+                }
+                // A fault retires the whole subtree: every leaf below
+                // gets the record, and no children are forked.
+                Some(fault) => {
+                    for leaf in node.first_leaf..node.first_leaf + node.leaves_below {
+                        push_leaf(&mut runs, leaf, fault.outcome());
+                    }
+                }
+                None if node.children.is_empty() => {
+                    let run = AmsRun {
+                        name: node.name.to_string(),
+                        waveform: path_waveform(
+                            &job.prefix,
+                            std::mem::take(&mut lane.waveform),
+                            node.k0 + node.steps,
+                        ),
+                        // Path-cumulative: fork_from seeds the lane from
+                        // the snapshot's watermark, so this equals the
+                        // flat run's count for the same root-to-leaf path.
+                        newton_iters: batch.lane_newton_iterations(l),
+                    };
+                    push_leaf(&mut runs, node.first_leaf, ScenarioOutcome::Ok(run));
+                }
+                None => {
+                    // Healthy internal segment: checkpoint once, fan
+                    // children out.
+                    let snap = Arc::new(batch.snapshot_lane(l));
+                    let prefix = Arc::new(WaveSeg {
+                        parent: job.prefix.clone(),
+                        samples: std::mem::take(&mut lane.waveform),
+                    });
+                    obs.add("sweep.tree.forks", 1);
+                    obs.add(
+                        "sweep.tree.prefix_steps_saved",
+                        node.steps as u64 * (node.leaves_below as u64 - 1),
+                    );
+                    for chunk in node.children.chunks(self.lane_width) {
+                        forks.push(Job {
+                            nodes: chunk.to_vec(),
+                            snap: Some(Arc::clone(&snap)),
+                            prefix: Some(Arc::clone(&prefix)),
+                            charged: lane.charged,
+                            wall: lane.wall,
+                        });
+                    }
+                }
+            }
         }
-        // Healthy internal segment: checkpoint once, fan children out.
-        let snap = Arc::new(batch.snapshot_lane(l));
-        let prefix = Arc::new(WaveSeg {
-            parent: job.prefix.clone(),
-            samples: std::mem::take(&mut waveforms[l]),
-        });
-        obs.add("sweep.tree.forks", 1);
-        obs.add(
-            "sweep.tree.prefix_steps_saved",
-            node.seg.steps as u64 * (node.leaves_below as u64 - 1),
-        );
-        for chunk in node.children.chunks(lane_width) {
-            forks.push(TreeJob {
-                nodes: chunk.to_vec(),
-                snap: Some(Arc::clone(&snap)),
-                prefix: Some(Arc::clone(&prefix)),
-                charged: charged[l],
-                wall: lane_wall[l],
-            });
-        }
+        batch.flush_counters();
+        (runs, forks)
     }
-    batch.flush_counters();
-    (leaves, forks)
 }
 
 // --------------------------------------------------------- eln scenarios
@@ -2380,9 +2497,21 @@ mod tests {
     }
 
     /// The flat scenarios equivalent to [`two_level_tree`]'s four
-    /// root-to-leaf paths, stitched with [`SwitchAt`] at the segment
-    /// boundaries so every path samples the identical stimulus values.
+    /// root-to-leaf paths.
     fn two_level_flat() -> Vec<AmsScenario> {
+        flat_paths(&[
+            ("g0", 10, Some(20)),
+            ("g1", 10, Some(21)),
+            ("c1", 11, None),
+            ("c2", 12, None),
+        ])
+    }
+
+    /// Flat runs of root-to-leaf paths under a root seeded 99: each path
+    /// is `(leaf name, middle seed, optional last seed)`, stitched with
+    /// [`SwitchAt`] at the segment boundaries so every path samples the
+    /// identical stimulus values its tree leaf sees.
+    fn flat_paths(paths: &[(&str, u64, Option<u64>)]) -> Vec<AmsScenario> {
         let t1 = SEG_STEPS as f64 * TREE_DT;
         let t2 = 2.0 * t1;
         let leaf = |name: &str, mid: u64, last: Option<u64>| -> AmsScenario {
@@ -2406,12 +2535,45 @@ mod tests {
                 step_control: None,
             }
         };
-        vec![
-            leaf("g0", 10, Some(20)),
-            leaf("g1", 10, Some(21)),
-            leaf("c1", 11, None),
-            leaf("c2", 12, None),
-        ]
+        paths
+            .iter()
+            .map(|&(name, mid, last)| leaf(name, mid, last))
+            .collect()
+    }
+
+    fn segment(name: &str, seed: u64, children: Vec<ScenarioSegment>) -> ScenarioSegment {
+        ScenarioSegment {
+            name: name.into(),
+            stim: seg_stim(seed),
+            steps: SEG_STEPS,
+            children,
+        }
+    }
+
+    /// A forest whose middle sibling forks (6 nodes, 4 leaves): a chunk
+    /// of all three siblings resolves the non-consecutive leaves 0 and 3
+    /// and leaves the gap to `b`'s children.
+    ///
+    /// ```text
+    /// root ─┬─ a
+    ///       ├─ b ─┬─ b0
+    ///       │     └─ b1
+    ///       └─ c
+    /// ```
+    fn middle_fork_tree() -> ScenarioTree {
+        let b = segment(
+            "b",
+            31,
+            vec![segment("b0", 40, vec![]), segment("b1", 41, vec![])],
+        );
+        let children = vec![segment("a", 30, vec![]), b, segment("c", 32, vec![])];
+        ScenarioTree {
+            roots: vec![TreeScenario {
+                newton_tol: Some(1e-8),
+                step_control: None,
+                segment: segment("root", 99, children),
+            }],
+        }
     }
 
     #[test]
@@ -2535,6 +2697,57 @@ mod tests {
                 .map(|w| out.report.counter(&format!("sweep.worker.{w}.scenarios")))
                 .sum();
             assert_eq!(per_worker, 4, "every leaf resolved exactly once");
+        }
+
+        // A sibling chunk whose middle segment forks: at lane width 4 the
+        // chunk [a, b, c] resolves leaves 0 and 3 as two runs, and b's
+        // children fill leaves 1 and 2 from a later job.
+        let flat = run_ams_sweep_batched(
+            &SweepEngine::new().workers(2),
+            &model,
+            &flat_paths(&[
+                ("a", 30, None),
+                ("b0", 31, Some(40)),
+                ("b1", 31, Some(41)),
+                ("c", 32, None),
+            ]),
+            4,
+            &ScenarioBudget::unlimited(),
+        )
+        .unwrap();
+        let tree = middle_fork_tree();
+        for lane_width in [1usize, 4] {
+            let out = run_ams_sweep_tree(
+                &SweepEngine::new().workers(2),
+                &model,
+                &tree,
+                lane_width,
+                &ScenarioBudget::unlimited(),
+            )
+            .unwrap();
+            assert_eq!(out.report.counter("sweep.scenarios.ok"), 4);
+            for (i, (t, f)) in out.results.iter().zip(&flat.results).enumerate() {
+                let (t, f) = (t.ok().unwrap(), f.ok().unwrap());
+                assert_eq!(t.name, f.name, "leaf {i} at lane width {lane_width}");
+                assert_eq!(t.newton_iters, f.newton_iters, "leaf {i} path-cumulative");
+                let tb: Vec<u64> = t.waveform.iter().map(|v| v.to_bits()).collect();
+                let fb: Vec<u64> = f.waveform.iter().map(|v| v.to_bits()).collect();
+                assert_eq!(tb, fb, "leaf {i} at lane width {lane_width}");
+            }
+            // Each job's report sits at its first node's first leaf. At
+            // width 1: root+a at leaf 0, b+b0 at 1, b1 at 2, c at 3; at
+            // width 4: root+[a, b, c] at leaf 0 and [b0, b1] at 1.
+            let slot_steps: Vec<u64> = out
+                .scenario_reports
+                .iter()
+                .map(|r| r.counter("amsim.steps"))
+                .collect();
+            let want = if lane_width == 1 {
+                [20, 20, 10, 10]
+            } else {
+                [40, 20, 0, 0]
+            };
+            assert_eq!(slot_steps, want, "lane width {lane_width}");
         }
     }
 
@@ -2673,6 +2886,54 @@ mod tests {
             assert_eq!(out.report.counter("sweep.scenarios.ok"), 1);
             assert_eq!(out.report.counter("sweep.scenarios.panicked"), 2);
             assert_eq!(out.report.counter("sweep.scenarios"), 3);
+        }
+    }
+
+    /// A panic that escapes a lane's own `catch_unwind` — here a panic
+    /// payload whose `Drop` panics again while the lane records it —
+    /// propagates out of the sweep instead of leaving the pool's other
+    /// workers waiting on a job that never completes.
+    #[test]
+    fn escaping_panic_propagates_from_flat_and_tree_sweeps() {
+        struct Bomb;
+        impl Drop for Bomb {
+            fn drop(&mut self) {
+                panic!("panic payload dropped");
+            }
+        }
+        struct Detonate;
+        impl Stimulus for Detonate {
+            fn value(&self, _t: f64) -> f64 {
+                std::panic::panic_any(Bomb)
+            }
+        }
+        for tree in [false, true] {
+            let (tx, rx) = mpsc::channel();
+            std::thread::spawn(move || {
+                let model = tree_model();
+                let scenarios = vec![AmsScenario {
+                    name: "bomb".into(),
+                    stim: Box::new(Detonate),
+                    steps: SEG_STEPS,
+                    newton_tol: None,
+                    step_control: None,
+                }];
+                let engine = SweepEngine::new().workers(2);
+                let budget = ScenarioBudget::unlimited();
+                let swept = catch_unwind(AssertUnwindSafe(|| {
+                    if tree {
+                        let tree = ScenarioTree::from(scenarios);
+                        run_ams_sweep_tree(&engine, &model, &tree, 1, &budget).map(drop)
+                    } else {
+                        run_ams_sweep_batched(&engine, &model, &scenarios, 1, &budget).map(drop)
+                    }
+                }));
+                let _ = tx.send(swept.is_err());
+            });
+            let panicked = rx
+                .recv_timeout(std::time::Duration::from_secs(10))
+                .unwrap_or_else(|_| panic!("tree = {tree}: sweep still blocked after 10 s"));
+            assert!(panicked, "tree = {tree}: the escaping panic must propagate");
         }
     }
 

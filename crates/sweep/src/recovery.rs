@@ -1,7 +1,10 @@
 //! Deterministic fault plans and the automatic recovery ladder.
 //!
 //! [`run_ams_sweep_recovering`] is the batched AMS sweep
-//! ([`crate::run_ams_sweep_batched`]) plus two seams:
+//! ([`crate::run_ams_sweep_batched`]) with two seams switched on. Both
+//! run inside the crate's one lane-block driver, which every batched
+//! sweep shares; the plain batched sweep is this one with the ladder
+//! off, and the scenarios run as a depth-1 forest.
 //!
 //! * **Fault injection** ([`FaultPlan`]): planned failures — a poisoned
 //!   residual, a singular/non-finite refactorization, a panicking or
@@ -15,12 +18,12 @@
 //!   (the serve daemon) can parse and carry them unconditionally.
 //!
 //! * **The recovery ladder** ([`Recovery`]): a lane that faults is not
-//!   retired outright — the engine escalates deterministically, on the
+//!   retired outright — the driver escalates deterministically, on the
 //!   worker that ran the block:
 //!
-//!   1. **Resume** — restore the lane's last periodic [`Snapshot`] into
-//!      a scalar [`amsim::Instance`] (demoting it out of the batch) and
-//!      replay under a *tightened* step control
+//!   1. **Resume** — restore the lane's last periodic
+//!      [`amsim::Snapshot`] into a scalar [`amsim::Instance`] (demoting
+//!      it out of the batch) and replay under a *tightened* step control
 //!      ([`RecoveryPolicy::tightened`]: smaller `min_dt` floor, more
 //!      in-step retries).
 //!   2. **Restart** — fresh scalar instance from `t = 0` under the
@@ -33,7 +36,9 @@
 //!   are skipped; the ladder is truncated to
 //!   [`RecoveryPolicy::max_recoveries`] attempts. Every replayed step
 //!   is charged against the same per-lane [`ScenarioBudget`] account as
-//!   the nominal run, so recovery cannot spend past the caps.
+//!   the nominal run, so recovery cannot spend past the caps. Only this
+//!   flat entry point enables the ladder, so a laddered lane is always a
+//!   whole scenario from `t = 0`.
 //!
 //! A scenario rescued at rung *r* reports
 //! [`ScenarioOutcome::Recovered`] with a waveform **bit-identical** to
@@ -49,12 +54,12 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
-use amsim::{AmsError, CompiledModel, RecoveryPolicy, Snapshot};
+use amsim::{AmsError, CompiledModel, RecoveryPolicy};
 use obs::Obs;
 
 use crate::{
-    merge_fault_tally, panic_message, AmsRun, AmsScenario, BudgetExceeded, ScenarioBudget,
-    ScenarioCtx, ScenarioOutcome, SweepEngine, SweepEvent, SweepOutcome,
+    panic_message, AmsRun, AmsScenario, BudgetExceeded, Driver, Forest, LaneFault, LaneRun,
+    ScenarioBudget, ScenarioOutcome, SweepEngine, SweepEvent, SweepOutcome,
 };
 
 // ------------------------------------------------------------ fault plans
@@ -253,6 +258,21 @@ pub struct Recovery {
     pub cancel: Option<Arc<AtomicBool>>,
 }
 
+impl Recovery {
+    /// The ladder off (`max_recoveries: 0`, so no periodic checkpoints
+    /// either), no fallback, an empty plan and no cancel token: what the
+    /// plain batched and tree sweeps run with.
+    pub(crate) fn disabled() -> Recovery {
+        Recovery {
+            policy: RecoveryPolicy {
+                max_recoveries: 0,
+                ..RecoveryPolicy::default()
+            },
+            ..Recovery::default()
+        }
+    }
+}
+
 /// [`run_ams_sweep_batched`](crate::run_ams_sweep_batched) with
 /// deterministic fault injection and the automatic recovery ladder.
 ///
@@ -299,11 +319,11 @@ pub fn run_ams_sweep_recovering(
     )
 }
 
-/// [`run_ams_sweep_recovering`] with an incremental result observer
-/// ([`crate::SweepEngine::run_batched_with`]): `observe` fires once per
-/// finished lane-block — recovery already applied, counters already
-/// flushed — so a streaming consumer sees `Recovered` outcomes exactly
-/// like terminal ones.
+/// [`run_ams_sweep_recovering`] with an incremental result observer:
+/// `observe` fires once per finished lane-block — recovery already
+/// applied, counters already flushed — so a streaming consumer sees
+/// `Recovered` outcomes exactly like terminal ones (see
+/// [`SweepEvent`]).
 #[allow(clippy::too_many_arguments)]
 pub fn run_ams_sweep_recovering_with<O>(
     engine: &SweepEngine,
@@ -317,305 +337,45 @@ pub fn run_ams_sweep_recovering_with<O>(
 where
     O: FnMut(SweepEvent<'_, ScenarioOutcome<AmsRun, AmsError>>),
 {
-    for sc in scenarios {
-        if let Some(tol) = sc.newton_tol {
-            if !(tol.is_finite() && tol > 0.0) {
-                return Err(AmsError::InvalidTolerance { tol });
-            }
-        }
-        if let Some(ctrl) = sc.step_control {
-            ctrl.validate(model.dt())?;
-            if let Some(fb) = &recovery.fallback {
-                ctrl.validate(fb.dt())?;
-            }
-        }
-    }
-    let dt = model.dt();
-    let n_inputs = model.input_names().len();
-    let ladder = recovery.policy.max_recoveries > 0;
-    let snap_every = if ladder {
-        recovery.policy.snapshot_every_n_steps
-    } else {
-        0
-    };
-    let cancel = recovery.cancel.as_deref();
-
-    let body = move |ctx: &ScenarioCtx, block: &[AmsScenario]| {
-        let lanes = block.len();
-        let mut builder = model
-            .batch_instance_builder(lanes)
-            .collector(ctx.obs.clone());
-        for (l, sc) in block.iter().enumerate() {
-            if let Some(tol) = sc.newton_tol {
-                builder = builder.lane_newton_tol(l, tol);
-            }
-            if let Some(ctrl) = sc.step_control {
-                builder = builder.lane_step_control(l, ctrl);
-            }
-        }
-        let mut batch = builder.build().expect("overrides validated up front");
-        let track_wall = budget.wall_cap().is_some();
-        let max_steps = block.iter().map(|sc| sc.steps).max().unwrap_or(0);
-        let mut waveforms: Vec<Vec<f64>> = block
-            .iter()
-            .map(|sc| Vec::with_capacity(sc.steps))
-            .collect();
-        let mut lane_fault: Vec<Option<ScenarioOutcome<AmsRun, AmsError>>> =
-            (0..lanes).map(|_| None).collect();
-        let mut charged = vec![0u64; lanes];
-        let mut lane_wall = vec![0.0f64; lanes];
-        let mut in_solve = vec![false; lanes];
-        let mut inputs = vec![0.0; n_inputs * lanes];
-        // Last periodic checkpoint per lane, with the waveform length at
-        // capture time (= the nominal step the resume rung restarts at).
-        let mut lane_snap: Vec<Option<(Snapshot, usize)>> = (0..lanes).map(|_| None).collect();
-        // The plan's pick per lane: keyed by *global* scenario index, so
-        // the same scenarios fault at any lane width.
-        #[cfg(feature = "fault-inject")]
-        let lane_plan: Vec<Option<FaultSpec>> = block
-            .iter()
-            .enumerate()
-            .map(|(l, sc)| recovery.plan.fault_for(ctx.index + l, sc.steps as u64))
-            .collect();
-        let mut cancelled = false;
-
-        for k in 0..max_steps {
-            if !cancelled && cancel.is_some_and(|c| c.load(Ordering::Relaxed)) {
-                cancelled = true;
-            }
-            for (l, sc) in block.iter().enumerate() {
-                if lane_fault[l].is_some() || !batch.lane_active(l) {
-                    continue;
-                }
-                if k >= sc.steps {
-                    batch.retire(l);
-                    continue;
-                }
-                if cancelled {
-                    // Hard kill: a budget verdict, not a ladder entry.
-                    lane_fault[l] = Some(ScenarioOutcome::Budget(BudgetExceeded {
-                        steps: charged[l],
-                        wall: lane_wall[l],
-                        max_steps: budget.step_cap(),
-                        max_wall: budget.wall_cap(),
-                    }));
-                    batch.retire(l);
-                    continue;
-                }
-                charged[l] += 1;
-                if let Err(b) = budget.check(charged[l], lane_wall[l]) {
-                    lane_fault[l] = Some(ScenarioOutcome::Budget(b));
-                    batch.retire(l);
-                    continue;
-                }
-                // Planned stimulus faults fire in place of/around the
-                // real sample.
-                #[cfg(feature = "fault-inject")]
-                let stim_fault = lane_plan[l]
-                    .filter(|spec| spec.step == k as u64)
-                    .map(|spec| spec.kind)
-                    .filter(|kind| {
-                        matches!(
-                            kind,
-                            FaultKind::StimulusPanic | FaultKind::StimulusStall { .. }
-                        )
-                    });
-                #[cfg(not(feature = "fault-inject"))]
-                let stim_fault: Option<FaultKind> = None;
-                if let Some(kind) = stim_fault {
-                    ctx.obs.add(&format!("fault.injected.{}", kind.name()), 1);
-                    if let FaultKind::StimulusStall { millis } = kind {
-                        std::thread::sleep(std::time::Duration::from_millis(millis));
-                    }
-                }
-                let sample_t0 = track_wall.then(Instant::now);
-                match catch_unwind(AssertUnwindSafe(|| {
-                    if matches!(stim_fault, Some(FaultKind::StimulusPanic)) {
-                        panic!("injected stimulus panic at step {k}");
-                    }
-                    sc.stim.value(k as f64 * dt)
-                })) {
-                    Ok(u) => {
-                        for i in 0..n_inputs {
-                            inputs[i * lanes + l] = u;
-                        }
-                    }
-                    Err(payload) => {
-                        lane_fault[l] = Some(ScenarioOutcome::Panicked(panic_message(payload)));
-                        batch.retire(l);
-                    }
-                }
-                if let Some(t0) = sample_t0 {
-                    lane_wall[l] += t0.elapsed().as_secs_f64();
-                }
-            }
-            let solving = batch.active_lanes();
-            if solving == 0 {
-                break;
-            }
-            for (l, s) in in_solve.iter_mut().enumerate() {
-                *s = batch.lane_active(l);
-            }
-            // Arm this step's planned solver faults around the one
-            // nominal batched step. The guard drops right after, so
-            // ladder replays never re-inject.
-            #[cfg(feature = "fault-inject")]
-            let guard = {
-                let mut armed: Vec<(usize, amsim::fault::SolverFault)> = Vec::new();
-                for (l, spec) in lane_plan.iter().enumerate() {
-                    let Some(spec) = spec else { continue };
-                    if spec.step != k as u64 || !in_solve[l] {
-                        continue;
-                    }
-                    let sf = match spec.kind {
-                        FaultKind::ResidualNan => amsim::fault::SolverFault::ResidualNan,
-                        FaultKind::RefactorSingular => amsim::fault::SolverFault::RefactorSingular,
-                        FaultKind::RefactorNonFinite => {
-                            amsim::fault::SolverFault::RefactorNonFinite
-                        }
-                        _ => continue,
-                    };
-                    ctx.obs
-                        .add(&format!("fault.injected.{}", spec.kind.name()), 1);
-                    armed.push((l, sf));
-                }
-                amsim::fault::inject(&armed)
-            };
-            let solve_t0 = track_wall.then(Instant::now);
-            batch.try_step(&inputs);
-            #[cfg(feature = "fault-inject")]
-            drop(guard);
-            if let Some(t0) = solve_t0 {
-                let share = t0.elapsed().as_secs_f64() / solving as f64;
-                for (l, _) in in_solve.iter().enumerate().filter(|(_, s)| **s) {
-                    lane_wall[l] += share;
-                }
-            }
-            for (l, sc) in block.iter().enumerate() {
-                if k < sc.steps && lane_fault[l].is_none() && batch.lane_active(l) {
-                    waveforms[l].push(batch.output(0, l));
-                }
-            }
-            // Periodic checkpoints feed the resume rung. Snapshots read
-            // (never mutate) lane state, so healthy waveforms stay
-            // bit-identical to the plain batched sweep.
-            if snap_every > 0 && (k as u64 + 1).is_multiple_of(snap_every) {
-                for (l, sc) in block.iter().enumerate() {
-                    if k + 1 < sc.steps && lane_fault[l].is_none() && batch.lane_active(l) {
-                        lane_snap[l] = Some((batch.snapshot_lane(l), waveforms[l].len()));
-                    }
-                }
-            }
-        }
-
-        let mut results: Vec<ScenarioOutcome<AmsRun, AmsError>> = Vec::with_capacity(lanes);
-        for (l, sc) in block.iter().enumerate() {
-            let outcome = match lane_fault[l].take() {
-                Some(f) => f,
-                None => match batch.lane_error(l) {
-                    Some(e) => ScenarioOutcome::failed(e.clone()),
-                    None => {
-                        results.push(ScenarioOutcome::Ok(AmsRun {
-                            name: sc.name.clone(),
-                            waveform: std::mem::take(&mut waveforms[l]),
-                            newton_iters: batch.lane_newton_iterations(l),
-                        }));
-                        continue;
-                    }
-                },
-            };
-            if !ladder {
-                results.push(outcome);
-                continue;
-            }
-            let seed = match outcome {
-                ScenarioOutcome::Failed { error, .. } => LadderSeed::Error(error),
-                ScenarioOutcome::Panicked(msg) => LadderSeed::Panic(msg),
-                // Budget verdicts (including watchdog kills) are final.
-                other => {
-                    results.push(other);
-                    continue;
-                }
-            };
-            results.push(run_ladder(LadderLane {
-                model,
-                recovery,
-                sc,
-                seed,
-                snap: lane_snap[l].take(),
-                prefix: &waveforms[l],
-                budget,
-                charged: &mut charged[l],
-                lane_wall: &mut lane_wall[l],
-                track_wall,
-                n_inputs,
-                obs: &ctx.obs,
-                cancel,
-            }));
-        }
-        batch.flush_counters();
-        results
-    };
-    let mut out = engine.run_batched_with(scenarios, lane_width, body, observe);
-    merge_fault_tally(&mut out.report, &out.results, ladder);
-    Ok(out)
-}
-
-/// The original fault that put a lane on the ladder.
-enum LadderSeed {
-    Error(AmsError),
-    Panic(String),
-}
-
-/// Everything one lane's ladder run needs, bundled to keep the call
-/// site readable.
-struct LadderLane<'a> {
-    model: &'a Arc<CompiledModel>,
-    recovery: &'a Recovery,
-    sc: &'a AmsScenario,
-    seed: LadderSeed,
-    /// Last periodic checkpoint and the waveform length at capture time.
-    snap: Option<(Snapshot, usize)>,
-    /// The lane's healthy nominal samples (resume replays from a prefix
-    /// of these).
-    prefix: &'a [f64],
-    budget: &'a ScenarioBudget,
-    /// The lane's budget account — recovery keeps charging it.
-    charged: &'a mut u64,
-    lane_wall: &'a mut f64,
-    track_wall: bool,
-    n_inputs: usize,
-    obs: &'a Obs,
-    cancel: Option<&'a AtomicBool>,
+    let forest = Forest::of_scenarios(scenarios);
+    let fallback_dt = recovery.fallback.as_ref().map_or(model.dt(), |fb| fb.dt());
+    forest.check(&[model.dt(), fallback_dt])?;
+    Ok(forest.run(engine, model, lane_width, budget, recovery, observe))
 }
 
 /// Escalates one faulted lane through the applicable rungs; returns the
-/// lane's final outcome.
-fn run_ladder(mut lane: LadderLane<'_>) -> ScenarioOutcome<AmsRun, AmsError> {
+/// lane's final outcome. `seed` is the lane's original fault (a typed
+/// error or a panic; budget verdicts are never laddered).
+pub(crate) fn run_ladder(
+    driver: &Driver<'_>,
+    lane: &mut LaneRun<'_>,
+    seed: LaneFault,
+    obs: &Obs,
+) -> ScenarioOutcome<AmsRun, AmsError> {
+    let recovery = driver.recovery;
     let mut attempts = vec![RecoveryAttempt {
         rung: None,
-        error: match &lane.seed {
-            LadderSeed::Error(e) => e.to_string(),
-            LadderSeed::Panic(msg) => format!("panic: {msg}"),
+        error: match &seed {
+            LaneFault::Failed(e) => e.to_string(),
+            LaneFault::Panicked(msg) => format!("panic: {msg}"),
+            LaneFault::Budget(b) => b.to_string(),
         },
     }];
     let mut rungs: Vec<RecoveryRung> = Vec::new();
-    if lane.snap.is_some() {
+    if lane.checkpoint.is_some() {
         rungs.push(RecoveryRung::Resume);
     }
     rungs.push(RecoveryRung::Restart);
-    if lane.recovery.fallback.is_some() {
+    if recovery.fallback.is_some() {
         rungs.push(RecoveryRung::Backend);
     }
-    rungs.truncate(lane.recovery.policy.max_recoveries as usize);
+    rungs.truncate(recovery.policy.max_recoveries as usize);
 
     for rung in rungs {
-        lane.obs
-            .add(&format!("recovery.attempts.{}", rung.name()), 1);
-        match catch_unwind(AssertUnwindSafe(|| replay_rung(rung, &mut lane))) {
+        obs.add(&format!("recovery.attempts.{}", rung.name()), 1);
+        match catch_unwind(AssertUnwindSafe(|| replay_rung(driver, rung, lane, obs))) {
             Ok(Ok(run)) => {
-                lane.obs
-                    .add(&format!("recovery.recovered.{}", rung.name()), 1);
+                obs.add(&format!("recovery.recovered.{}", rung.name()), 1);
                 return ScenarioOutcome::Recovered {
                     result: run,
                     rung,
@@ -632,19 +392,19 @@ fn run_ladder(mut lane: LadderLane<'_>) -> ScenarioOutcome<AmsRun, AmsError> {
                 // The budget is the outer cap: exhausting it mid-rung
                 // ends the scenario with the budget verdict (which, like
                 // every `Budget` outcome, carries no attempt trail).
-                lane.obs.add("recovery.gave_up", 1);
+                obs.add("recovery.gave_up", 1);
                 return ScenarioOutcome::Budget(b);
             }
             Err(payload) => {
-                lane.obs.add("recovery.gave_up", 1);
+                obs.add("recovery.gave_up", 1);
                 return ScenarioOutcome::Panicked(panic_message(payload));
             }
         }
     }
-    lane.obs.add("recovery.gave_up", 1);
-    match lane.seed {
-        LadderSeed::Error(error) => ScenarioOutcome::Failed { error, attempts },
-        LadderSeed::Panic(msg) => ScenarioOutcome::Panicked(msg),
+    obs.add("recovery.gave_up", 1);
+    match seed {
+        LaneFault::Failed(error) => ScenarioOutcome::Failed { error, attempts },
+        other => other.outcome(),
     }
 }
 
@@ -657,33 +417,38 @@ enum RungFault {
 /// Replays one scenario on one rung's configuration, charging the
 /// lane's budget account per step. Panics (from the stimulus or the
 /// solver) propagate to the `catch_unwind` in [`run_ladder`].
-fn replay_rung(rung: RecoveryRung, lane: &mut LadderLane<'_>) -> Result<AmsRun, RungFault> {
+fn replay_rung(
+    driver: &Driver<'_>,
+    rung: RecoveryRung,
+    lane: &mut LaneRun<'_>,
+    obs: &Obs,
+) -> Result<AmsRun, RungFault> {
+    let recovery = driver.recovery;
     let model = match rung {
-        RecoveryRung::Backend => lane
-            .recovery
+        RecoveryRung::Backend => recovery
             .fallback
             .as_ref()
             .expect("backend rung only enters the ladder with a fallback"),
-        _ => lane.model,
+        _ => driver.model,
     };
-    let sc = lane.sc;
-    let mut builder = model.instance_builder().collector(lane.obs.clone());
-    if let Some(tol) = sc.newton_tol {
+    let node = lane.node;
+    let mut builder = model.instance_builder().collector(obs.clone());
+    if let Some(tol) = node.newton_tol {
         builder = builder.newton_tol(tol);
     }
-    if let Some(ctrl) = sc.step_control {
+    if let Some(ctrl) = node.step_control {
         builder = builder.step_control(ctrl);
     }
     let mut inst = builder.build().expect("overrides validated up front");
-    let mut waveform = Vec::with_capacity(sc.steps);
+    let mut waveform = Vec::with_capacity(node.steps);
     let start_k = match rung {
         RecoveryRung::Resume => {
             let (snap, wave_len) = lane
-                .snap
+                .checkpoint
                 .as_ref()
                 .expect("resume rung only enters the ladder with a checkpoint");
             inst.restore(snap);
-            waveform.extend_from_slice(&lane.prefix[..*wave_len]);
+            waveform.extend_from_slice(&lane.waveform[..*wave_len]);
             *wave_len
         }
         _ => 0,
@@ -693,29 +458,26 @@ fn replay_rung(rung: RecoveryRung, lane: &mut LadderLane<'_>) -> Result<AmsRun, 
     // the accept/reject decision of a step the looser control accepted,
     // which is what keeps a resumed waveform bit-identical to a full
     // tightened run from `t = 0`.
-    let tightened = lane.recovery.policy.tightened(inst.step_control());
+    let tightened = recovery.policy.tightened(inst.step_control());
     inst.set_step_control(tightened).map_err(RungFault::Error)?;
     let dt = model.dt();
-    let mut inputs = vec![0.0; lane.n_inputs];
-    for k in start_k..sc.steps {
-        *lane.charged += 1;
-        if lane.cancel.is_some_and(|c| c.load(Ordering::Relaxed)) {
-            return Err(RungFault::Budget(BudgetExceeded {
-                steps: *lane.charged,
-                wall: *lane.lane_wall,
-                max_steps: lane.budget.step_cap(),
-                max_wall: lane.budget.wall_cap(),
-            }));
+    let track_wall = driver.budget.wall_cap().is_some();
+    let mut inputs = vec![0.0; model.input_names().len()];
+    for k in start_k..node.steps {
+        lane.charge(driver.budget).map_err(RungFault::Budget)?;
+        if recovery
+            .cancel
+            .as_deref()
+            .is_some_and(|c| c.load(Ordering::Relaxed))
+        {
+            return Err(RungFault::Budget(lane.killed(driver.budget)));
         }
-        if let Err(b) = lane.budget.check(*lane.charged, *lane.lane_wall) {
-            return Err(RungFault::Budget(b));
-        }
-        let t0 = lane.track_wall.then(Instant::now);
-        let u = sc.stim.value(k as f64 * dt);
+        let t0 = track_wall.then(Instant::now);
+        let u = node.stim.value(k as f64 * dt);
         inputs.iter_mut().for_each(|v| *v = u);
         let stepped = inst.try_step(&inputs);
         if let Some(t0) = t0 {
-            *lane.lane_wall += t0.elapsed().as_secs_f64();
+            lane.wall += t0.elapsed().as_secs_f64();
         }
         stepped.map_err(RungFault::Error)?;
         waveform.push(inst.output(0));
@@ -723,16 +485,15 @@ fn replay_rung(rung: RecoveryRung, lane: &mut LadderLane<'_>) -> Result<AmsRun, 
     // A resumed run's per-run counter starts at zero (fresh instance);
     // the snapshot's watermark restores the path-cumulative total the
     // flat run would report.
-    let newton_iters = match rung {
-        RecoveryRung::Resume => {
-            let (snap, _) = lane.snap.as_ref().expect("checked above");
+    let newton_iters = match &lane.checkpoint {
+        Some((snap, _)) if rung == RecoveryRung::Resume => {
             snap.newton_iterations() + inst.newton_iterations()
         }
         _ => inst.newton_iterations(),
     };
     inst.flush_counters();
     Ok(AmsRun {
-        name: sc.name.clone(),
+        name: node.name.to_string(),
         waveform,
         newton_iters,
     })

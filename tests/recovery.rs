@@ -227,6 +227,49 @@ mod injected {
             )
     }
 
+    /// An injected stall is charged to the stalling lane's own wall
+    /// account: 300 ms at step 2 against a 0.15 s cap trips that lane's
+    /// budget on its next step, while its block siblings finish.
+    #[test]
+    fn injected_stall_trips_only_its_lanes_wall_budget() {
+        let model = compile_clamp(amsim::SolverKind::Auto);
+        let recovery = Recovery {
+            plan: FaultPlan::new().target(
+                0,
+                FaultSpec {
+                    kind: FaultKind::StimulusStall { millis: 300 },
+                    step: 2,
+                },
+            ),
+            ..Recovery::default()
+        };
+        let scenarios: Vec<AmsScenario> = healthy_scenarios().into_iter().take(4).collect();
+        let out = run_ams_sweep_recovering(
+            &SweepEngine::new().workers(1),
+            &model,
+            &scenarios,
+            4,
+            &ScenarioBudget::unlimited().max_wall(0.15),
+            &recovery,
+        )
+        .unwrap();
+        match &out.results[0] {
+            ScenarioOutcome::Budget(b) => {
+                assert_eq!(b.max_wall, Some(0.15));
+                assert!(b.wall > 0.15, "the stall is on the lane's account: {b:?}");
+            }
+            other => panic!("slot 0: want Budget, got {other:?}"),
+        }
+        for (i, r) in out.results.iter().enumerate().skip(1) {
+            let run = r
+                .ok()
+                .unwrap_or_else(|| panic!("slot {i}: want Ok, got {r:?}"));
+            assert_eq!(run.waveform.len(), STEPS);
+        }
+        assert_eq!(out.report.counter("fault.injected.stimulus_stall"), 1);
+        assert_eq!(out.report.counter("sweep.scenarios.budget"), 1);
+    }
+
     /// Injected faults recover on the expected rung, the recovered
     /// waveforms are bit-identical to from-`t=0` reruns on the rung's
     /// configuration, and nothing depends on the schedule: workers
