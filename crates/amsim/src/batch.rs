@@ -46,7 +46,9 @@ use linalg::{AnyLu, FactorError, Factorization, Triplets};
 use obs::{CounterTracker, Obs};
 
 use crate::sim::stamp_jacobian;
-use crate::sim::{AmsError, CompiledModel, Instance, Snapshot, SnapshotLu, StepControl};
+use crate::sim::{
+    validate_overrides, AmsError, CompiledModel, Instance, Snapshot, SnapshotLu, StepControl,
+};
 
 /// Per-lane solver state: everything one run keeps besides the (shared,
 /// SoA) slot/iterate storage.
@@ -282,13 +284,8 @@ impl BatchInstanceBuilder {
     /// * [`AmsError::InvalidStepControl`] when any lane's step-control
     ///   override is inconsistent with the model's nominal step.
     pub fn build(self) -> Result<BatchInstance, AmsError> {
-        for &tol in &self.newton_tols {
-            if !(tol.is_finite() && tol > 0.0) {
-                return Err(AmsError::InvalidTolerance { tol });
-            }
-        }
-        for sc in self.step_controls.iter().flatten() {
-            sc.validate(self.model.dt)?;
+        for (&tol, &sc) in self.newton_tols.iter().zip(&self.step_controls) {
+            validate_overrides(Some(tol), sc, self.model.dt)?;
         }
         Ok(BatchInstance::with_model(
             self.model,

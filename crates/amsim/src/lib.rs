@@ -66,8 +66,8 @@ mod sim;
 
 pub use batch::{BatchInstance, BatchInstanceBuilder, InputFrame};
 pub use sim::{
-    AmsError, CompiledModel, Instance, InstanceBuilder, RecoveryPolicy, Simulation, Snapshot,
-    StepControl,
+    validate_overrides, AmsError, CompiledModel, Instance, InstanceBuilder, RecoveryPolicy,
+    Simulation, Snapshot, StepControl,
 };
 
 // Re-exported so call sites can pick a backend via

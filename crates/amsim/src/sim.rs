@@ -225,6 +225,27 @@ impl StepControl {
     }
 }
 
+/// Checks per-run solver overrides against a nominal step `dt`: a Newton
+/// tolerance must be finite and positive, and a step control must pass
+/// [`StepControl::validate`]; `None` always passes. The compiled model,
+/// both instance builders, the sweeps and the fleet all apply this one
+/// rule.
+///
+/// # Errors
+///
+/// [`AmsError::InvalidTolerance`] for a bad tolerance (checked first),
+/// else [`AmsError::InvalidStepControl`] for a bad step control.
+pub fn validate_overrides(
+    newton_tol: Option<f64>,
+    step_control: Option<StepControl>,
+    dt: f64,
+) -> Result<(), AmsError> {
+    match newton_tol {
+        Some(tol) if !(tol.is_finite() && tol > 0.0) => Err(AmsError::InvalidTolerance { tol }),
+        _ => step_control.map_or(Ok(()), |sc| sc.validate(dt)),
+    }
+}
+
 /// Automatic-recovery policy for faulted sweep scenarios.
 ///
 /// When a scenario faults under a sweep that enables recovery, the
@@ -696,14 +717,7 @@ impl InstanceBuilder {
     /// * [`AmsError::InvalidStepControl`] when the step-control override
     ///   is inconsistent with the model's nominal step.
     pub fn build(self) -> Result<Instance, AmsError> {
-        if !(self.newton_tol.is_finite() && self.newton_tol > 0.0) {
-            return Err(AmsError::InvalidTolerance {
-                tol: self.newton_tol,
-            });
-        }
-        if let Some(sc) = &self.step_control {
-            sc.validate(self.model.dt)?;
-        }
+        validate_overrides(Some(self.newton_tol), self.step_control, self.model.dt)?;
         Ok(Instance::with_model(
             self.model,
             self.obs,
@@ -838,12 +852,7 @@ fn compile_model(
     if !(dt.is_finite() && dt > 0.0) {
         return Err(AmsError::InvalidTimeStep { dt });
     }
-    if !(newton_tol.is_finite() && newton_tol > 0.0) {
-        return Err(AmsError::InvalidTolerance { tol: newton_tol });
-    }
-    if let Some(sc) = &step_control {
-        sc.validate(dt)?;
-    }
+    validate_overrides(Some(newton_tol), step_control, dt)?;
     let lower_start = obs.enabled().then(Instant::now);
     let model = acquire(module)?;
     let mut zeros: Vec<QExpr> = conservative_relations(&model)?

@@ -11,38 +11,42 @@
 //! compiled **once**, wrapped in an [`Arc`], and shared by every worker;
 //! each scenario then pays only for a cheap per-run instance.
 //!
-//! [`SweepEngine`] shards scenarios across a pool of `std::thread` workers
-//! with a work-stealing index counter: worker *w* is seeded with scenario
-//! *w* and then claims the next unclaimed index with an atomic
-//! `fetch_add`, so fast workers drain the queue while slow scenarios
-//! never stall the pool. Every scenario records into its own
-//! [`obs::Obs`] collector (no contention on a shared lock in the hot
-//! loop); the engine merges the per-scenario reports **in scenario index
-//! order** — together with sweep-level counters and wall-time histograms
-//! — so the merged [`Report`] is identical regardless of worker count or
-//! scheduling.
+//! [`SweepEngine`] runs every sweep on one pool of scoped `std::thread`
+//! workers fed by one job queue. A job is one scenario
+//! ([`SweepEngine::run_isolated`]), one lane-block
+//! ([`SweepEngine::run_batched`]) or one chunk of sibling tree segments
+//! (the batched AMS sweeps below), and a job that finishes a shared tree
+//! prefix queues its children's chunks. Worker *w* starts on job *w* and
+//! then pops the queue, so fast workers drain it while slow jobs never
+//! stall the pool. Every job records into its own [`obs::Obs`] collector
+//! (no contention on a shared lock in the hot loop); the engine merges
+//! the per-job reports **in scenario index order** — together with
+//! sweep-level counters and wall-time histograms — so the merged
+//! [`Report`] is identical regardless of worker count or scheduling.
 //!
 //! Every batched AMS sweep ([`run_ams_sweep_batched`],
 //! [`run_ams_sweep_recovering`], [`run_ams_sweep_tree`] and the `_with`
-//! variants) runs through **one lane-block driver**: a job queue of up to
-//! `lane_width` sibling segments per [`amsim::BatchInstance`]. A flat
-//! scenario list is the depth-1 [`ScenarioTree`], and the batched sweep
-//! is the recovering sweep with the ladder off. Observers get one event
-//! per run of consecutive scenarios a block resolves ([`SweepEvent`]);
-//! [`run_ams_sweep`] is the per-instance reference.
+//! variants) runs through **one lane-block driver**: each of its pool
+//! jobs steps up to `lane_width` sibling segments as one
+//! [`amsim::BatchInstance`]. A flat scenario list is the depth-1
+//! [`ScenarioTree`], and the batched sweep is the recovering sweep with
+//! the ladder off. Observers get one event per run of consecutive
+//! scenarios a block resolves ([`SweepEvent`]); [`run_ams_sweep`] is the
+//! per-instance reference.
 //!
 //! # Example
 //!
 //! ```
-//! use amsvp_sweep::SweepEngine;
+//! use amsvp_sweep::{ScenarioBudget, SweepEngine};
 //!
 //! let engine = SweepEngine::new().workers(4);
 //! let scenarios: Vec<u64> = (0..32).collect();
-//! let outcome = engine.run(&scenarios, |ctx, s| {
+//! let budget = ScenarioBudget::unlimited();
+//! let outcome = engine.run_isolated::<_, _, (), _>(&scenarios, &budget, |ctx, s| {
 //!     ctx.obs.add("work.items", 1);
-//!     s * s
+//!     Ok(s * s)
 //! });
-//! assert_eq!(outcome.results[5], 25);
+//! assert_eq!(outcome.results[5].ok(), Some(&25));
 //! assert_eq!(outcome.report.counter("work.items"), 32);
 //! assert_eq!(outcome.report.counter("sweep.scenarios"), 32);
 //! ```
@@ -52,7 +56,7 @@ use std::collections::VecDeque;
 use std::error::Error;
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::Ordering;
 use std::sync::mpsc;
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::time::Instant;
@@ -259,16 +263,13 @@ impl<R, E> ScenarioOutcome<R, E> {
     }
 }
 
-/// Per-scenario context handed to the sweep closure.
+/// Per-scenario context handed to the [`SweepEngine::run_isolated`]
+/// closure.
 ///
 /// `obs` is a fresh recording collector owned by this scenario alone —
 /// attach it to the instances the scenario builds; the engine folds it
 /// into the merged sweep report afterwards.
 pub struct ScenarioCtx {
-    /// Index of the scenario in the input slice.
-    pub index: usize,
-    /// Worker that executes this scenario (0-based).
-    pub worker: usize,
     /// Recording collector private to this scenario.
     pub obs: Obs,
     limits: ScenarioBudget,
@@ -281,7 +282,7 @@ impl ScenarioCtx {
     /// checks both caps.
     ///
     /// Call once per solver step (or batch); under
-    /// [`SweepEngine::run`] the budget is unlimited and this never fails.
+    /// [`ScenarioBudget::unlimited`] this never fails.
     ///
     /// # Errors
     ///
@@ -300,20 +301,17 @@ impl ScenarioCtx {
 }
 
 /// One finished unit of sweep work, handed to the incremental result
-/// observer of [`SweepEngine::run_isolated_with`],
-/// [`run_ams_sweep_batched_with`] or [`run_ams_sweep_recovering_with`]
-/// **before** the final merge.
+/// observer of [`run_ams_sweep_batched_with`] or
+/// [`run_ams_sweep_recovering_with`] **before** the final merge.
 ///
-/// Scalar sweeps deliver one scenario per event (`results.len() == 1`,
-/// `first_index` = the scenario index). Batched sweeps deliver one
-/// event per maximal run of consecutive leaves a lane-block resolves
-/// (`first_index` = the run's first scenario index, `results` in input
-/// order), with the block's report on its first event and an empty
-/// report on any later one. Every flat sweep is a depth-1 forest whose
-/// blocks resolve whole runs, so there that is one event per
-/// lane-block. Events arrive in **completion order** —
-/// scheduling-dependent by nature; a streaming consumer that needs a
-/// deterministic byte stream must reorder on `first_index` (the
+/// Batched sweeps deliver one event per maximal run of consecutive
+/// leaves a lane-block resolves (`first_index` = the run's first
+/// scenario index, `results` in input order), with the block's report on
+/// its first event and an empty report on any later one. Every flat
+/// sweep is a depth-1 forest whose blocks resolve whole runs, so there
+/// that is one event per lane-block. Events arrive in **completion
+/// order** — scheduling-dependent by nature; a streaming consumer that
+/// needs a deterministic byte stream must reorder on `first_index` (the
 /// per-scenario payloads themselves are bit-identical for any worker
 /// count, so index order is all it takes).
 ///
@@ -328,8 +326,6 @@ pub struct SweepEvent<'a, R> {
     pub results: &'a [R],
     /// The unit's instrumentation snapshot (counters already flushed).
     pub report: &'a Report,
-    /// Worker that executed the unit (scheduling-dependent).
-    pub worker: usize,
 }
 
 /// Everything a finished sweep produces.
@@ -339,7 +335,7 @@ pub struct SweepOutcome<R> {
     /// The per-scenario instrumentation reports, in input order.
     pub scenario_reports: Vec<Report>,
     /// All scenario reports merged in index order, plus the sweep-level
-    /// `sweep.*` counters and timers (see [`SweepEngine::run`]).
+    /// `sweep.*` counters and timers (see [`SweepEngine::run_isolated`]).
     pub report: Report,
     /// Wall-clock duration of the whole sweep in seconds.
     pub wall: f64,
@@ -374,13 +370,15 @@ impl SweepEngine {
         self.workers
     }
 
-    /// Runs `f` once per scenario across the worker pool and merges the
-    /// per-scenario reports.
+    /// Runs `f` once per scenario across the worker pool with full fault
+    /// isolation: the body is wrapped in [`std::panic::catch_unwind`] and
+    /// charged against a per-scenario [`ScenarioBudget`] (via
+    /// [`ScenarioCtx::tick`]), so a panicking, diverging, or runaway
+    /// scenario yields a typed [`ScenarioOutcome`] in its slot instead of
+    /// tearing down the pool.
     ///
-    /// Scheduling: worker *w* starts on scenario *w*, then repeatedly
-    /// claims the lowest unclaimed index (atomic `fetch_add`) until the
-    /// queue is empty — so with at least as many scenarios as workers,
-    /// every worker executes at least one scenario.
+    /// Each scenario is one pool job, so with at least as many scenarios
+    /// as workers, every worker executes at least one scenario.
     ///
     /// The merged [`SweepOutcome::report`] contains, beyond the summed
     /// scenario counters and timers:
@@ -389,35 +387,20 @@ impl SweepEngine {
     /// * `sweep.workers` — pool size;
     /// * `sweep.worker.{w}.scenarios` — scenarios executed by worker *w*
     ///   (scheduling-dependent; everything else is not);
+    /// * `sweep.scenarios.{ok,failed,panicked,budget}` — all four keys
+    ///   always present, so downstream dashboards see stable schemas;
     /// * `sweep.scenario` — wall-time histogram over individual
     ///   scenarios, observed in index order;
     /// * `sweep.wall` — one observation: the whole sweep's wall time.
     ///
-    /// # Panics
-    ///
-    /// Propagates panics from `f` once all workers have stopped.
-    pub fn run<S, R, F>(&self, scenarios: &[S], f: F) -> SweepOutcome<R>
-    where
-        S: Sync,
-        R: Send,
-        F: Fn(&ScenarioCtx, &S) -> R + Sync,
-    {
-        self.run_with_budget(scenarios, ScenarioBudget::unlimited(), f, |_| {})
-    }
-
-    /// Runs `f` once per scenario with full fault isolation: the body is
-    /// wrapped in [`std::panic::catch_unwind`] and charged against a
-    /// per-scenario [`ScenarioBudget`] (via [`ScenarioCtx::tick`]), so a
-    /// panicking, diverging, or runaway scenario yields a typed
-    /// [`ScenarioOutcome`] in its slot instead of tearing down the pool.
-    ///
-    /// On top of [`SweepEngine::run`]'s counters, the merged report tallies
-    /// `sweep.scenarios.{ok,failed,panicked,budget}` — all four keys are
-    /// always present, so downstream dashboards see stable schemas.
-    ///
     /// Surviving scenarios keep the bit-identical-for-any-worker-count
     /// guarantee: faults are per-index records merged in input order, not
     /// scheduling-dependent state.
+    ///
+    /// # Panics
+    ///
+    /// Propagates a panic that escapes the isolation (a panic payload
+    /// whose own `Drop` panics) once all workers have stopped.
     pub fn run_isolated<S, R, E, F>(
         &self,
         scenarios: &[S],
@@ -430,64 +413,40 @@ impl SweepEngine {
         E: Send,
         F: Fn(&ScenarioCtx, &S) -> Result<R, SweepFault<E>> + Sync,
     {
-        self.run_isolated_with(scenarios, budget, f, |_| {})
-    }
-
-    /// [`SweepEngine::run_isolated`] with an incremental result observer:
-    /// `observe` fires on the caller's thread once per finished scenario,
-    /// in completion order, **before** the final merge — the seam a
-    /// streaming consumer (the serve daemon) taps to emit per-scenario
-    /// records without buffering the whole sweep.
-    ///
-    /// Each [`SweepEvent`] carries the scenario's own report snapshot,
-    /// taken after the body returned (instance drops included), so a
-    /// faulted scenario's partial solver counters are visible at observe
-    /// time. The returned [`SweepOutcome`] is identical to
-    /// [`SweepEngine::run_isolated`]'s.
-    pub fn run_isolated_with<S, R, E, F, O>(
-        &self,
-        scenarios: &[S],
-        budget: &ScenarioBudget,
-        f: F,
-        observe: O,
-    ) -> SweepOutcome<ScenarioOutcome<R, E>>
-    where
-        S: Sync,
-        R: Send,
-        E: Send,
-        F: Fn(&ScenarioCtx, &S) -> Result<R, SweepFault<E>> + Sync,
-        O: FnMut(SweepEvent<'_, ScenarioOutcome<R, E>>),
-    {
-        let mut out = self.run_with_budget(
-            scenarios,
-            *budget,
-            |ctx, s| match catch_unwind(AssertUnwindSafe(|| f(ctx, s))) {
+        let seeds = (0..scenarios.len()).collect();
+        let run = |i: usize, obs: &Obs| {
+            let ctx = ScenarioCtx {
+                obs: obs.clone(),
+                limits: *budget,
+                charged: Cell::new(0),
+                started: Instant::now(),
+            };
+            let outcome = match catch_unwind(AssertUnwindSafe(|| f(&ctx, &scenarios[i]))) {
                 Ok(Ok(r)) => ScenarioOutcome::Ok(r),
                 Ok(Err(SweepFault::Error(e))) => ScenarioOutcome::failed(e),
                 Ok(Err(SweepFault::Budget(b))) => ScenarioOutcome::Budget(b),
                 Err(payload) => ScenarioOutcome::Panicked(panic_message(payload)),
-            },
-            observe,
-        );
+            };
+            JobOutput::at(i, vec![outcome])
+        };
+        let mut out = run_pool(self.workers, scenarios.len(), false, seeds, run, |_| {});
         merge_fault_tally(&mut out.report, &out.results, false);
         out
     }
 
     /// Runs `f` once per **lane-block** of up to `lane_width` scenarios
-    /// (threads × lanes): blocks are work-stolen across the pool exactly
-    /// like scenarios under [`SweepEngine::run`], and the body returns
-    /// one result per scenario in its block, in block order.
+    /// (threads × lanes), one pool job per block: the body gets the
+    /// block's own recording collector and returns one result per
+    /// scenario in its block, in block order.
     ///
-    /// The `ctx` handed to the body belongs to the whole block: its
-    /// `index` is the block's **first** scenario index and its `obs`
-    /// collector records for the block; the merged report attaches each
-    /// block's report at that first index, so the merge order — and hence
-    /// the merged [`Report`] — is independent of worker count and
-    /// scheduling, same as the scalar path.
+    /// The merged report attaches each block's report at the block's
+    /// first scenario index, so the merge order — and hence the merged
+    /// [`Report`] — is independent of worker count and scheduling, same
+    /// as the scalar path.
     ///
-    /// Beyond [`SweepEngine::run`]'s `sweep.scenarios` / `sweep.workers` /
-    /// `sweep.worker.{w}.scenarios` counters (which keep counting
-    /// *scenarios*, not blocks), the merged report gains:
+    /// Beyond [`SweepEngine::run_isolated`]'s `sweep.scenarios` /
+    /// `sweep.workers` / `sweep.worker.{w}.scenarios` counters (which
+    /// keep counting *scenarios*, not blocks), the merged report gains:
     ///
     /// * `sweep.batch.blocks` — number of lane-blocks executed;
     /// * `sweep.block` — wall-time histogram over blocks (replaces the
@@ -504,218 +463,261 @@ impl SweepEngine {
     where
         S: Sync,
         R: Send,
-        F: Fn(&ScenarioCtx, &[S]) -> Vec<R> + Sync,
+        F: Fn(&Obs, &[S]) -> Vec<R> + Sync,
     {
         let lane_width = lane_width.max(1);
-        let workers = self.workers;
-        let n = scenarios.len();
-        let blocks: Vec<&[S]> = scenarios.chunks(lane_width).collect();
-        let nb = blocks.len();
-        let start = Instant::now();
-
-        let next = AtomicUsize::new(workers.min(nb));
-        let (tx, rx) = mpsc::channel::<(usize, usize, Vec<R>, Report, f64)>();
-
-        let mut results: Vec<Option<R>> = Vec::with_capacity(n);
-        results.resize_with(n, || None);
-        let mut scenario_reports = vec![Report::default(); n];
-        let mut block_secs = vec![0.0_f64; nb];
-        let mut per_worker = vec![0u64; workers];
-
-        std::thread::scope(|scope| {
-            for w in 0..workers {
-                let tx = tx.clone();
-                let next = &next;
-                let f = &f;
-                let blocks = &blocks;
-                scope.spawn(move || {
-                    let mut b = if w < nb { w } else { usize::MAX };
-                    while b < nb {
-                        let ctx = ScenarioCtx {
-                            index: b * lane_width,
-                            worker: w,
-                            obs: Obs::recording(),
-                            limits: ScenarioBudget::unlimited(),
-                            charged: Cell::new(0),
-                            started: Instant::now(),
-                        };
-                        let t0 = Instant::now();
-                        let rs = f(&ctx, blocks[b]);
-                        assert_eq!(
-                            rs.len(),
-                            blocks[b].len(),
-                            "batched body must return one result per scenario in the block"
-                        );
-                        let secs = t0.elapsed().as_secs_f64();
-                        let report = ctx.obs.report().unwrap_or_default();
-                        if tx.send((b, w, rs, report, secs)).is_err() {
-                            return;
-                        }
-                        b = next.fetch_add(1, Ordering::Relaxed);
-                    }
-                });
-            }
-            drop(tx);
-            for (b, w, rs, report, secs) in rx {
-                let base = b * lane_width;
-                per_worker[w] += rs.len() as u64;
-                for (i, r) in rs.into_iter().enumerate() {
-                    debug_assert!(
-                        results[base + i].is_none(),
-                        "scenario {} ran twice",
-                        base + i
-                    );
-                    results[base + i] = Some(r);
-                }
-                scenario_reports[base] = report;
-                block_secs[b] = secs;
-            }
-        });
-
-        let wall = start.elapsed().as_secs_f64();
-
-        // Merge in index order (block reports sit at their block's first
-        // scenario index) so the merged report is bit-identical
-        // regardless of which worker ran which block.
-        let mut report = Report::default();
-        for r in &scenario_reports {
-            report.merge(r);
-        }
-        let sweep_obs = Obs::recording();
-        sweep_obs.add("sweep.scenarios", n as u64);
-        sweep_obs.add("sweep.workers", workers as u64);
-        sweep_obs.add("sweep.batch.blocks", nb as u64);
-        for (w, count) in per_worker.iter().enumerate() {
-            sweep_obs.add(&format!("sweep.worker.{w}.scenarios"), *count);
-        }
-        for secs in &block_secs {
-            sweep_obs.time("sweep.block", *secs);
-        }
-        sweep_obs.time("sweep.wall", wall);
-        report.merge(&sweep_obs.report().unwrap_or_default());
-
-        let results = results
-            .into_iter()
-            .map(|r| r.expect("every scenario index is covered by exactly one block"))
-            .collect();
-        SweepOutcome {
-            results,
-            scenario_reports,
-            report,
-            wall,
-            workers,
-        }
-    }
-
-    fn run_with_budget<S, R, F, O>(
-        &self,
-        scenarios: &[S],
-        budget: ScenarioBudget,
-        f: F,
-        mut observe: O,
-    ) -> SweepOutcome<R>
-    where
-        S: Sync,
-        R: Send,
-        F: Fn(&ScenarioCtx, &S) -> R + Sync,
-        O: FnMut(SweepEvent<'_, R>),
-    {
-        let workers = self.workers;
-        let n = scenarios.len();
-        let start = Instant::now();
-
-        // Next index to steal. Workers 0..min(workers, n) are seeded with
-        // their own index, so stealing starts past the seeds.
-        let next = AtomicUsize::new(workers.min(n));
-        let (tx, rx) = mpsc::channel::<(usize, usize, R, Report, f64)>();
-
-        let mut results: Vec<Option<R>> = Vec::with_capacity(n);
-        results.resize_with(n, || None);
-        let mut scenario_reports = vec![Report::default(); n];
-        let mut scenario_secs = vec![0.0_f64; n];
-        let mut per_worker = vec![0u64; workers];
-
-        std::thread::scope(|scope| {
-            for w in 0..workers {
-                let tx = tx.clone();
-                let next = &next;
-                let f = &f;
-                scope.spawn(move || {
-                    let mut idx = if w < n { w } else { usize::MAX };
-                    while idx < n {
-                        let ctx = ScenarioCtx {
-                            index: idx,
-                            worker: w,
-                            obs: Obs::recording(),
-                            limits: budget,
-                            charged: Cell::new(0),
-                            started: Instant::now(),
-                        };
-                        let t0 = Instant::now();
-                        let result = f(&ctx, &scenarios[idx]);
-                        let secs = t0.elapsed().as_secs_f64();
-                        let report = ctx.obs.report().unwrap_or_default();
-                        if tx.send((idx, w, result, report, secs)).is_err() {
-                            return;
-                        }
-                        idx = next.fetch_add(1, Ordering::Relaxed);
-                    }
-                });
-            }
-            drop(tx);
-            // Drain completions on the caller's thread while workers run.
-            for (idx, w, result, report, secs) in rx {
-                observe(SweepEvent {
-                    first_index: idx,
-                    results: std::slice::from_ref(&result),
-                    report: &report,
-                    worker: w,
-                });
-                debug_assert!(results[idx].is_none(), "scenario {idx} ran twice");
-                results[idx] = Some(result);
-                scenario_reports[idx] = report;
-                scenario_secs[idx] = secs;
-                per_worker[w] += 1;
-            }
-        });
-
-        let wall = start.elapsed().as_secs_f64();
-
-        // Merge in index order so the merged report is bit-identical
-        // regardless of which worker ran which scenario.
-        let mut report = Report::default();
-        for r in &scenario_reports {
-            report.merge(r);
-        }
-        let sweep_obs = Obs::recording();
-        sweep_obs.add("sweep.scenarios", n as u64);
-        sweep_obs.add("sweep.workers", workers as u64);
-        for (w, count) in per_worker.iter().enumerate() {
-            sweep_obs.add(&format!("sweep.worker.{w}.scenarios"), *count);
-        }
-        for secs in &scenario_secs {
-            sweep_obs.time("sweep.scenario", *secs);
-        }
-        sweep_obs.time("sweep.wall", wall);
-        report.merge(&sweep_obs.report().unwrap_or_default());
-
-        let results = results
-            .into_iter()
-            .map(|r| r.expect("every scenario index is claimed exactly once"))
-            .collect();
-        SweepOutcome {
-            results,
-            scenario_reports,
-            report,
-            wall,
-            workers,
-        }
+        let firsts = (0..scenarios.len()).step_by(lane_width);
+        let seeds = firsts.zip(scenarios.chunks(lane_width)).collect();
+        let run = |(first, block): (usize, &[S]), obs: &Obs| {
+            let results = f(obs, block);
+            assert_eq!(
+                results.len(),
+                block.len(),
+                "batched body must return one result per scenario in the block"
+            );
+            JobOutput::at(first, results)
+        };
+        run_pool(self.workers, scenarios.len(), true, seeds, run, |_| {})
     }
 }
 
 impl Default for SweepEngine {
     fn default() -> Self {
         SweepEngine::new()
+    }
+}
+
+// --------------------------------------------------------------- the pool
+
+/// What one pool job produced.
+struct JobOutput<J, R> {
+    /// Merge key, unique per job: job reports land, and the per-job
+    /// timer observes, in key order, so the merged report never depends
+    /// on scheduling.
+    key: usize,
+    /// The slot the job's report lands in.
+    slot: usize,
+    /// The job's results as runs of consecutive slots, each with its
+    /// first slot.
+    runs: Vec<(usize, Vec<R>)>,
+    /// Follow-up jobs (a finished tree prefix forks its children).
+    forks: Vec<J>,
+}
+
+impl<J, R> JobOutput<J, R> {
+    /// A job that fills the consecutive slots from `first` and forks
+    /// nothing: one scenario or one lane-block.
+    fn at(first: usize, results: Vec<R>) -> Self {
+        JobOutput {
+            key: first,
+            slot: first,
+            runs: vec![(first, results)],
+            forks: Vec::new(),
+        }
+    }
+}
+
+/// The pool's job queue. Jobs *create* jobs (a finished prefix fans its
+/// children out), so the pool tracks outstanding work explicitly:
+/// workers sleep on the condvar while the queue is empty but running
+/// jobs may still fork, and exit once no job is queued or running.
+struct JobQueue<J> {
+    /// `(queued jobs, jobs created but not yet completed)`.
+    state: Mutex<(VecDeque<J>, usize)>,
+    cv: Condvar,
+}
+
+impl<J> JobQueue<J> {
+    /// Claims a job, blocking while outstanding jobs may still fork new
+    /// ones; `None` once every job has completed.
+    fn pop(&self) -> Option<J> {
+        let mut s = self.state.lock().expect("job queue poisoned");
+        loop {
+            if let Some(job) = s.0.pop_front() {
+                return Some(job);
+            }
+            if s.1 == 0 {
+                return None;
+            }
+            s = self.cv.wait(s).expect("job queue poisoned");
+        }
+    }
+
+    /// Enqueues follow-up jobs created by a running (still-outstanding)
+    /// job.
+    fn push(&self, jobs: Vec<J>) {
+        if jobs.is_empty() {
+            return;
+        }
+        let mut s = self.state.lock().expect("job queue poisoned");
+        s.1 += jobs.len();
+        s.0.extend(jobs);
+        drop(s);
+        self.cv.notify_all();
+    }
+}
+
+/// Marks a claimed job finished when dropped — on return and when the
+/// job panics, so the panic propagates out of the sweep instead of
+/// leaving the other workers waiting for a count that never reaches
+/// zero. Wakes sleepers once every job has completed so they can exit.
+struct Claimed<'q, J>(&'q JobQueue<J>);
+
+impl<J> Drop for Claimed<'_, J> {
+    fn drop(&mut self) {
+        // May run while unwinding, so it must not panic: a poisoned lock
+        // is recovered, since every update leaves the state valid.
+        let mut s = self.0.state.lock().unwrap_or_else(PoisonError::into_inner);
+        s.1 -= 1;
+        let drained = s.1 == 0;
+        drop(s);
+        if drained {
+            self.0.cv.notify_all();
+        }
+    }
+}
+
+/// The crate's one scheduler: runs `seeds`, and every job they fork, on
+/// `workers` scoped threads, and assembles `slots` results in index
+/// order.
+///
+/// Worker *w* starts on seed *w*, then pops the queue, so with at least
+/// as many seeds as workers every worker runs at least one job. Each job
+/// records into its own `Obs::recording()` collector. Finished jobs
+/// reach the caller's thread in completion order, where `observe` fires
+/// once per run of results, with the job's report on the first event.
+///
+/// Job reports land in key order: the first report for a slot moves
+/// into it, later ones merge into it. The merged report is the slot
+/// reports in index order plus `sweep.scenarios` (= `slots`),
+/// `sweep.workers`, `sweep.worker.{w}.scenarios`, one wall-time
+/// observation per job in key order — `sweep.block`, with the
+/// `sweep.batch.blocks` count, when `blocks`, else `sweep.scenario` —
+/// and `sweep.wall`.
+///
+/// A panic that escapes a job propagates once every worker has stopped:
+/// the [`Claimed`] guard completes the job, so no worker waits for it.
+fn run_pool<J, R, F, O>(
+    workers: usize,
+    slots: usize,
+    blocks: bool,
+    seeds: Vec<J>,
+    run: F,
+    mut observe: O,
+) -> SweepOutcome<R>
+where
+    J: Send,
+    R: Send,
+    F: Fn(J, &Obs) -> JobOutput<J, R> + Sync,
+    O: FnMut(SweepEvent<'_, R>),
+{
+    let start = Instant::now();
+    let outstanding = seeds.len();
+    // Split the seeds off the deque itself: on rustc 1.95's std, a deque
+    // collected from a partly consumed `vec::IntoIter` corrupts its
+    // elements once it grows.
+    let mut queued = VecDeque::from(seeds);
+    let firsts: Vec<Option<J>> = (0..workers).map(|_| queued.pop_front()).collect();
+    let queue = JobQueue {
+        state: Mutex::new((queued, outstanding)),
+        cv: Condvar::new(),
+    };
+    let (tx, rx) = mpsc::channel::<(usize, JobOutput<J, R>, Report, f64)>();
+
+    let mut results: Vec<Option<R>> = Vec::with_capacity(slots);
+    results.resize_with(slots, || None);
+    let mut per_worker = vec![0u64; workers];
+    // `(key, slot, report, secs)` per job, placed in key order after the
+    // run so the merged report never depends on scheduling.
+    let mut jobs: Vec<(usize, usize, Report, f64)> = Vec::new();
+
+    std::thread::scope(|scope| {
+        for (w, mut first) in firsts.into_iter().enumerate() {
+            let tx = tx.clone();
+            let queue = &queue;
+            let run = &run;
+            scope.spawn(move || {
+                while let Some(job) = first.take().or_else(|| queue.pop()) {
+                    let _claimed = Claimed(queue);
+                    let t0 = Instant::now();
+                    let obs = Obs::recording();
+                    let mut output = run(job, &obs);
+                    let secs = t0.elapsed().as_secs_f64();
+                    let report = obs.report().unwrap_or_default();
+                    // Forks go in before this job completes, so the
+                    // outstanding count never transiently hits zero.
+                    queue.push(std::mem::take(&mut output.forks));
+                    if tx.send((w, output, report, secs)).is_err() {
+                        return;
+                    }
+                }
+            });
+        }
+        drop(tx);
+        let empty = Report::default();
+        for (w, output, report, secs) in rx {
+            for (i, (first, run)) in output.runs.iter().enumerate() {
+                observe(SweepEvent {
+                    first_index: *first,
+                    results: run,
+                    report: if i == 0 { &report } else { &empty },
+                });
+            }
+            for (first, run) in output.runs {
+                per_worker[w] += run.len() as u64;
+                for (slot, r) in (first..).zip(run) {
+                    debug_assert!(results[slot].is_none(), "slot {slot} resolved twice");
+                    results[slot] = Some(r);
+                }
+            }
+            jobs.push((output.key, output.slot, report, secs));
+        }
+    });
+
+    let wall = start.elapsed().as_secs_f64();
+
+    // Two tree jobs can share a slot (a prefix and its first fork chunk):
+    // the first report moves in, later ones merge into it.
+    jobs.sort_by_key(|&(key, ..)| key);
+    let mut scenario_reports = vec![Report::default(); slots];
+    let sweep_obs = Obs::recording();
+    let timer = if blocks {
+        sweep_obs.add("sweep.batch.blocks", jobs.len() as u64);
+        "sweep.block"
+    } else {
+        "sweep.scenario"
+    };
+    for (_, slot, job_report, secs) in jobs {
+        sweep_obs.time(timer, secs);
+        let slot = &mut scenario_reports[slot];
+        if slot.counters.is_empty() && slot.timers.is_empty() {
+            *slot = job_report;
+        } else {
+            slot.merge(&job_report);
+        }
+    }
+    let mut report = Report::default();
+    for r in &scenario_reports {
+        report.merge(r);
+    }
+    sweep_obs.add("sweep.scenarios", slots as u64);
+    sweep_obs.add("sweep.workers", workers as u64);
+    for (w, count) in per_worker.iter().enumerate() {
+        sweep_obs.add(&format!("sweep.worker.{w}.scenarios"), *count);
+    }
+    sweep_obs.time("sweep.wall", wall);
+    report.merge(&sweep_obs.report().unwrap_or_default());
+
+    let results = results
+        .into_iter()
+        .map(|r| r.expect("every slot is resolved by exactly one job"))
+        .collect();
+    SweepOutcome {
+        results,
+        scenario_reports,
+        report,
+        wall,
+        workers,
     }
 }
 
@@ -1226,15 +1228,8 @@ impl<'t> Forest<'t> {
     /// on).
     fn check(&self, dts: &[f64]) -> Result<(), AmsError> {
         for node in &self.nodes {
-            if let Some(tol) = node.newton_tol {
-                if !(tol.is_finite() && tol > 0.0) {
-                    return Err(AmsError::InvalidTolerance { tol });
-                }
-            }
-            if let Some(ctrl) = node.step_control {
-                for &dt in dts {
-                    ctrl.validate(dt)?;
-                }
+            for &dt in dts {
+                amsim::validate_overrides(node.newton_tol, node.step_control, dt)?;
             }
         }
         Ok(())
@@ -1365,62 +1360,6 @@ fn push_leaf(runs: &mut Vec<LeafRun>, leaf: usize, outcome: ScenarioOutcome<AmsR
     }
 }
 
-/// Work queue for jobs. Jobs *create* jobs (a finished prefix fans its
-/// children out), so the pool tracks outstanding work explicitly:
-/// workers sleep on the condvar while the queue is empty but running
-/// jobs may still fork, and exit once no job is queued or running.
-struct JobQueue {
-    /// `(queued jobs, jobs created but not yet completed)`.
-    state: Mutex<(VecDeque<Job>, usize)>,
-    cv: Condvar,
-}
-
-impl JobQueue {
-    /// Claims a job, blocking while outstanding jobs may still fork new
-    /// ones; `None` once the whole forest is drained.
-    fn pop(&self) -> Option<Job> {
-        let mut s = self.state.lock().expect("job queue poisoned");
-        loop {
-            if let Some(job) = s.0.pop_front() {
-                return Some(job);
-            }
-            if s.1 == 0 {
-                return None;
-            }
-            s = self.cv.wait(s).expect("job queue poisoned");
-        }
-    }
-
-    /// Enqueues fork jobs created by a running (still-outstanding) job.
-    fn push(&self, jobs: Vec<Job>) {
-        let mut s = self.state.lock().expect("job queue poisoned");
-        s.1 += jobs.len();
-        s.0.extend(jobs);
-        drop(s);
-        self.cv.notify_all();
-    }
-}
-
-/// Marks a claimed job finished when dropped — on return and when the
-/// job panics, so the panic propagates out of the sweep instead of
-/// leaving the other workers waiting for a count that never reaches
-/// zero. Wakes sleepers once the forest is drained so they can exit.
-struct Claimed<'q>(&'q JobQueue);
-
-impl Drop for Claimed<'_> {
-    fn drop(&mut self) {
-        // May run while unwinding, so it must not panic: a poisoned lock
-        // is recovered, since every update leaves the state valid.
-        let mut s = self.0.state.lock().unwrap_or_else(PoisonError::into_inner);
-        s.1 -= 1;
-        let drained = s.1 == 0;
-        drop(s);
-        if drained {
-            self.0.cv.notify_all();
-        }
-    }
-}
-
 /// What every job of one sweep shares.
 struct Driver<'a> {
     model: &'a Arc<CompiledModel>,
@@ -1434,8 +1373,8 @@ impl Forest<'_> {
     /// The one lane-block driver behind every batched AMS sweep: flat
     /// sweeps are depth-1 forests, the plain batched sweep is the
     /// recovering one with the ladder off, and tree sweeps fork shared
-    /// prefixes. Root chunks of up to `lane_width` roots seed a job queue;
-    /// a job that finishes a shared segment pushes its children's chunks.
+    /// prefixes. Root chunks of up to `lane_width` roots seed the pool; a
+    /// job that finishes a shared segment pushes its children's chunks.
     ///
     /// Results land in leaf order. A job's report is attached at its first
     /// node's first leaf, and `observe` fires on the caller's thread once per
@@ -1448,14 +1387,12 @@ impl Forest<'_> {
         lane_width: usize,
         budget: &ScenarioBudget,
         recovery: &Recovery,
-        mut observe: O,
+        observe: O,
     ) -> SweepOutcome<ScenarioOutcome<AmsRun, AmsError>>
     where
         O: FnMut(SweepEvent<'_, ScenarioOutcome<AmsRun, AmsError>>),
     {
         let lane_width = lane_width.max(1);
-        let workers = engine.worker_count();
-        let start = Instant::now();
         let driver = Driver {
             model,
             nodes: &self.nodes,
@@ -1463,8 +1400,8 @@ impl Forest<'_> {
             budget,
             recovery,
         };
-        // Seed the queue with root chunks; running jobs push the forks.
-        let roots: VecDeque<Job> = self
+        // Seed the pool with root chunks; running jobs push the forks.
+        let roots = self
             .roots
             .chunks(lane_width)
             .map(|nodes| Job {
@@ -1475,110 +1412,21 @@ impl Forest<'_> {
                 wall: 0.0,
             })
             .collect();
-        let outstanding = roots.len();
-        let queue = JobQueue {
-            state: Mutex::new((roots, outstanding)),
-            cv: Condvar::new(),
+        let run = |job: Job, obs: &Obs| {
+            let key = job.nodes[0];
+            let (runs, forks) = driver.run_job(&job, obs);
+            JobOutput {
+                key,
+                slot: self.nodes[key].first_leaf,
+                runs,
+                forks,
+            }
         };
-        let (tx, rx) = mpsc::channel::<(usize, usize, Vec<LeafRun>, Report, f64)>();
-
-        let mut results: Vec<Option<ScenarioOutcome<AmsRun, AmsError>>> =
-            Vec::with_capacity(self.leaves);
-        results.resize_with(self.leaves, || None);
-        let mut scenario_reports = vec![Report::default(); self.leaves];
-        let mut per_worker = vec![0u64; workers];
-        // `(first node id, report, secs)` per job, placed in node-id order
-        // after the run so the merged report never depends on scheduling.
-        let mut job_reports: Vec<(usize, Report, f64)> = Vec::new();
-
-        std::thread::scope(|scope| {
-            for w in 0..workers {
-                let tx = tx.clone();
-                let queue = &queue;
-                let driver = &driver;
-                scope.spawn(move || {
-                    while let Some(job) = queue.pop() {
-                        let _claimed = Claimed(queue);
-                        let t0 = Instant::now();
-                        let obs = Obs::recording();
-                        let (runs, forks) = driver.run_job(&job, &obs);
-                        let secs = t0.elapsed().as_secs_f64();
-                        let report = obs.report().unwrap_or_default();
-                        let disconnected = tx.send((job.nodes[0], w, runs, report, secs)).is_err();
-                        // Children go in before this job completes, so the
-                        // outstanding count never transiently hits zero.
-                        queue.push(forks);
-                        if disconnected {
-                            return;
-                        }
-                    }
-                });
-            }
-            drop(tx);
-            let empty = Report::default();
-            for (node0, w, runs, report, secs) in rx {
-                for (i, (first, outcomes)) in runs.iter().enumerate() {
-                    observe(SweepEvent {
-                        first_index: *first,
-                        results: outcomes,
-                        report: if i == 0 { &report } else { &empty },
-                        worker: w,
-                    });
-                }
-                for (first, outcomes) in runs {
-                    per_worker[w] += outcomes.len() as u64;
-                    for (leaf, outcome) in (first..).zip(outcomes) {
-                        debug_assert!(results[leaf].is_none(), "leaf {leaf} resolved twice");
-                        results[leaf] = Some(outcome);
-                    }
-                }
-                job_reports.push((node0, report, secs));
-            }
-        });
-
-        let wall = start.elapsed().as_secs_f64();
-
-        // Two jobs can share a first leaf (a prefix and its first fork
-        // chunk), so reports land in node-id order: the first moves into the
-        // slot, later ones merge into it.
-        job_reports.sort_by_key(|(node0, _, _)| *node0);
-        let sweep_obs = Obs::recording();
-        sweep_obs.add("sweep.batch.blocks", job_reports.len() as u64);
-        for (node0, job_report, secs) in job_reports {
-            sweep_obs.time("sweep.block", secs);
-            let slot = &mut scenario_reports[self.nodes[node0].first_leaf];
-            if slot.counters.is_empty() && slot.timers.is_empty() {
-                *slot = job_report;
-            } else {
-                slot.merge(&job_report);
-            }
-        }
-        let mut report = Report::default();
-        for r in &scenario_reports {
-            report.merge(r);
-        }
-        sweep_obs.add("sweep.scenarios", self.leaves as u64);
-        sweep_obs.add("sweep.workers", workers as u64);
-        for (w, count) in per_worker.iter().enumerate() {
-            sweep_obs.add(&format!("sweep.worker.{w}.scenarios"), *count);
-        }
-        sweep_obs.time("sweep.wall", wall);
-        report.merge(&sweep_obs.report().unwrap_or_default());
-
-        let results: Vec<ScenarioOutcome<AmsRun, AmsError>> = results
-            .into_iter()
-            .map(|r| r.expect("every leaf is resolved by exactly one job"))
-            .collect();
+        let workers = engine.worker_count();
+        let mut out = run_pool(workers, self.leaves, true, roots, run, observe);
         // Same stable fault-tally schema as the scalar isolated sweep.
-        merge_fault_tally(&mut report, &results, driver.ladder());
-
-        SweepOutcome {
-            results,
-            scenario_reports,
-            report,
-            wall,
-            workers,
-        }
+        merge_fault_tally(&mut out.report, &out.results, driver.ladder());
+        out
     }
 }
 
@@ -1902,14 +1750,19 @@ mod tests {
     fn runs_every_scenario_exactly_once_in_order() {
         let engine = SweepEngine::new().workers(3);
         let scenarios: Vec<u64> = (0..17).collect();
-        let out = engine.run(&scenarios, |ctx, s| {
-            ctx.obs.add("touched", 1);
-            (ctx.index as u64, s * 2)
-        });
+        let out = engine.run_isolated::<_, _, (), _>(
+            &scenarios,
+            &ScenarioBudget::unlimited(),
+            |ctx, s| {
+                ctx.obs.add("touched", 1);
+                Ok((*s, s * 2))
+            },
+        );
         assert_eq!(out.workers, 3);
         assert_eq!(out.results.len(), 17);
-        for (i, (idx, doubled)) in out.results.iter().enumerate() {
-            assert_eq!(*idx, i as u64);
+        for (i, r) in out.results.iter().enumerate() {
+            let (s, doubled) = r.ok().expect("healthy slot");
+            assert_eq!(*s, i as u64, "slot {i} holds another scenario's result");
             assert_eq!(*doubled, 2 * i as u64);
         }
         assert_eq!(out.report.counter("touched"), 17);
@@ -1927,7 +1780,9 @@ mod tests {
     fn tolerates_more_workers_than_scenarios() {
         let engine = SweepEngine::new().workers(8);
         let scenarios = [10usize, 20];
-        let out = engine.run(&scenarios, |_, s| s + 1);
+        let out = engine.run_batched(&scenarios, 1, |_, block| {
+            block.iter().map(|s| s + 1).collect()
+        });
         assert_eq!(out.results, vec![11, 21]);
         assert_eq!(out.report.counter("sweep.scenarios"), 2);
     }
@@ -1936,7 +1791,11 @@ mod tests {
     fn empty_sweep_is_fine() {
         let engine = SweepEngine::new().workers(2);
         let scenarios: [u8; 0] = [];
-        let out = engine.run(&scenarios, |_, s| *s);
+        let out = engine.run_isolated::<_, u8, (), _>(
+            &scenarios,
+            &ScenarioBudget::unlimited(),
+            |_, s| Ok(*s),
+        );
         assert!(out.results.is_empty());
         assert_eq!(out.report.counter("sweep.scenarios"), 0);
     }
@@ -1945,7 +1804,14 @@ mod tests {
     fn scenario_reports_stay_separate_and_merge() {
         let engine = SweepEngine::new().workers(2);
         let scenarios: Vec<u64> = vec![1, 2, 3];
-        let out = engine.run(&scenarios, |ctx, s| ctx.obs.add("n", *s));
+        let out = engine.run_isolated::<_, _, (), _>(
+            &scenarios,
+            &ScenarioBudget::unlimited(),
+            |ctx, s| {
+                ctx.obs.add("n", *s);
+                Ok(())
+            },
+        );
         assert_eq!(out.scenario_reports[0].counter("n"), 1);
         assert_eq!(out.scenario_reports[1].counter("n"), 2);
         assert_eq!(out.scenario_reports[2].counter("n"), 3);
@@ -2000,20 +1866,25 @@ mod tests {
             .output("V(out)")
             .compile()
             .unwrap();
-        let scenarios = vec![AmsScenario {
-            name: "bad".into(),
-            stim: Box::new(PiecewiseConstant::seeded(1, 2, 1e-5, 0.0, 1.0)),
-            steps: 10,
-            newton_tol: Some(0.0),
-            step_control: None,
-        }];
-        let err = run_ams_sweep(
-            &SweepEngine::new().workers(1),
-            &model,
-            &scenarios,
-            &ScenarioBudget::unlimited(),
-        );
-        assert!(matches!(err, Err(AmsError::InvalidTolerance { .. })));
+        for tol in [0.0, f64::NAN, f64::INFINITY] {
+            let scenarios = vec![AmsScenario {
+                name: "bad".into(),
+                stim: Box::new(PiecewiseConstant::seeded(1, 2, 1e-5, 0.0, 1.0)),
+                steps: 10,
+                newton_tol: Some(tol),
+                step_control: None,
+            }];
+            let err = run_ams_sweep(
+                &SweepEngine::new().workers(1),
+                &model,
+                &scenarios,
+                &ScenarioBudget::unlimited(),
+            );
+            assert!(
+                matches!(err, Err(AmsError::InvalidTolerance { .. })),
+                "tolerance {tol}"
+            );
+        }
 
         let scenarios = vec![AmsScenario {
             name: "bad-control".into(),
@@ -2245,32 +2116,6 @@ mod tests {
         }
     }
 
-    #[test]
-    fn observer_sees_every_scenario_once_with_its_report() {
-        let engine = SweepEngine::new().workers(3);
-        let scenarios: Vec<u64> = (0..17).collect();
-        let mut seen: Vec<(usize, u64)> = Vec::new();
-        let out = engine.run_isolated_with::<_, _, (), _, _>(
-            &scenarios,
-            &ScenarioBudget::unlimited(),
-            |ctx, s| {
-                ctx.obs.add("unit.work", *s);
-                Ok(s * 3)
-            },
-            |ev| {
-                assert_eq!(ev.results.len(), 1, "scalar events cover one scenario");
-                seen.push((ev.first_index, ev.report.counter("unit.work")));
-            },
-        );
-        assert_eq!(seen.len(), 17);
-        seen.sort_by_key(|(i, _)| *i);
-        for (i, (idx, work)) in seen.iter().enumerate() {
-            assert_eq!(*idx, i, "every index observed exactly once");
-            assert_eq!(*work, i as u64, "event carries the scenario's own report");
-        }
-        assert_eq!(out.report.counter("sweep.scenarios.ok"), 17);
-    }
-
     /// The result-callback seam's flush guarantee: by the time a block's
     /// event fires, the batch instance's counters — including a faulted
     /// lane's partial steps — are already flushed into the event report,
@@ -2385,8 +2230,8 @@ mod tests {
     fn batched_engine_runs_generic_blocks() {
         let engine = SweepEngine::new().workers(3);
         let scenarios: Vec<u64> = (0..11).collect();
-        let out = engine.run_batched(&scenarios, 4, |ctx, block| {
-            ctx.obs.add("blocks.seen", 1);
+        let out = engine.run_batched(&scenarios, 4, |obs, block| {
+            obs.add("blocks.seen", 1);
             block.iter().map(|s| s * 2).collect()
         });
         assert_eq!(out.results, (0..11).map(|s| s * 2).collect::<Vec<_>>());
@@ -2889,10 +2734,11 @@ mod tests {
         }
     }
 
-    /// A panic that escapes a lane's own `catch_unwind` — here a panic
-    /// payload whose `Drop` panics again while the lane records it —
-    /// propagates out of the sweep instead of leaving the pool's other
-    /// workers waiting on a job that never completes.
+    /// A panic that escapes a job's own `catch_unwind` — here a panic
+    /// payload whose `Drop` panics again while the sweep records it, or a
+    /// `run_batched` body, which isolates nothing — propagates out of the
+    /// sweep instead of leaving the pool's other workers waiting on a job
+    /// that never completes.
     #[test]
     fn escaping_panic_propagates_from_flat_and_tree_sweeps() {
         struct Bomb;
@@ -2907,7 +2753,7 @@ mod tests {
                 std::panic::panic_any(Bomb)
             }
         }
-        for tree in [false, true] {
+        for case in ["batched", "tree", "scalar", "blocks"] {
             let (tx, rx) = mpsc::channel();
             std::thread::spawn(move || {
                 let model = tree_model();
@@ -2920,20 +2766,30 @@ mod tests {
                 }];
                 let engine = SweepEngine::new().workers(2);
                 let budget = ScenarioBudget::unlimited();
-                let swept = catch_unwind(AssertUnwindSafe(|| {
-                    if tree {
+                let swept = catch_unwind(AssertUnwindSafe(|| match case {
+                    "batched" => {
+                        run_ams_sweep_batched(&engine, &model, &scenarios, 1, &budget).map(drop)
+                    }
+                    "tree" => {
                         let tree = ScenarioTree::from(scenarios);
                         run_ams_sweep_tree(&engine, &model, &tree, 1, &budget).map(drop)
-                    } else {
-                        run_ams_sweep_batched(&engine, &model, &scenarios, 1, &budget).map(drop)
+                    }
+                    "scalar" => run_ams_sweep(&engine, &model, &scenarios, &budget).map(drop),
+                    _ => {
+                        let blocks: Vec<usize> = (0..4).collect();
+                        engine.run_batched(&blocks, 1, |_, block| {
+                            assert_ne!(block[0], 2, "injected block panic");
+                            block.to_vec()
+                        });
+                        Ok(())
                     }
                 }));
                 let _ = tx.send(swept.is_err());
             });
             let panicked = rx
                 .recv_timeout(std::time::Duration::from_secs(10))
-                .unwrap_or_else(|_| panic!("tree = {tree}: sweep still blocked after 10 s"));
-            assert!(panicked, "tree = {tree}: the escaping panic must propagate");
+                .unwrap_or_else(|_| panic!("{case}: sweep still blocked after 10 s"));
+            assert!(panicked, "{case}: the escaping panic must propagate");
         }
     }
 

@@ -53,9 +53,7 @@ use amsim::{AmsError, CompiledModel, StepControl};
 use amsvp_core::circuits::Stimulus;
 use de::SimTime;
 use obs::{Obs, Report};
-use sweep::{
-    panic_message, OutcomeTally, ScenarioBudget, ScenarioCtx, ScenarioOutcome, SweepEngine,
-};
+use sweep::{panic_message, OutcomeTally, ScenarioBudget, ScenarioOutcome, SweepEngine};
 
 use crate::bus::{new_bridge, PlatformBus, SharedBridge, SharedUart};
 use crate::cpu::CpuCore;
@@ -248,21 +246,14 @@ pub fn run_fleet(
     config: &FleetConfig,
     devices: &[DeviceScenario],
 ) -> Result<FleetOutcome, AmsError> {
-    for d in devices {
-        if let Some(tol) = d.newton_tol {
-            if !(tol.is_finite() && tol > 0.0) {
-                return Err(AmsError::InvalidTolerance { tol });
-            }
-        }
-        if let Some(ctrl) = d.step_control {
-            ctrl.validate(model.dt())?;
-        }
-    }
     let dt = model.dt();
+    for d in devices {
+        amsim::validate_overrides(d.newton_tol, d.step_control, dt)?;
+    }
     let cycles_per_analog = dt / config.cpu_period.as_seconds();
     let engine = SweepEngine::new().workers(config.workers);
-    let body = move |ctx: &ScenarioCtx, block: &[DeviceScenario]| {
-        run_device_block(model, config, ctx, block, dt, cycles_per_analog)
+    let body = move |obs: &Obs, block: &[DeviceScenario]| {
+        run_device_block(model, config, obs, block, dt, cycles_per_analog)
     };
     let out = engine.run_batched(devices, config.lane_width, body);
 
@@ -298,15 +289,13 @@ pub fn run_fleet(
 fn run_device_block(
     model: &Arc<CompiledModel>,
     config: &FleetConfig,
-    ctx: &ScenarioCtx,
+    obs: &Obs,
     block: &[DeviceScenario],
     dt: f64,
     cycles_per_analog: f64,
 ) -> Vec<DeviceOutcome> {
     let lanes = block.len();
-    let mut builder = model
-        .batch_instance_builder(lanes)
-        .collector(ctx.obs.clone());
+    let mut builder = model.batch_instance_builder(lanes).collector(obs.clone());
     for (l, d) in block.iter().enumerate() {
         if let Some(tol) = d.newton_tol {
             builder = builder.lane_newton_tol(l, tol);
@@ -528,11 +517,23 @@ mod tests {
     #[test]
     fn invalid_override_fails_the_fleet_up_front() {
         let model = rc1_model();
+        for bad in [-1.0, f64::NAN, f64::INFINITY] {
+            let mut devs = devices(2);
+            devs[0].newton_tol = Some(bad);
+            match run_fleet(&model, &fleet_config(), &devs).err() {
+                Some(AmsError::InvalidTolerance { tol }) => {
+                    assert_eq!(tol.to_bits(), bad.to_bits());
+                }
+                other => panic!("tolerance {bad}: want InvalidTolerance, got {other:?}"),
+            }
+        }
         let mut devs = devices(2);
-        devs[0].newton_tol = Some(-1.0);
+        devs[1].step_control = Some(StepControl::new(2.0 * DT));
         match run_fleet(&model, &fleet_config(), &devs).err() {
-            Some(AmsError::InvalidTolerance { tol }) => assert_eq!(tol, -1.0),
-            other => panic!("want InvalidTolerance, got {other:?}"),
+            Some(AmsError::InvalidStepControl { min_dt, dt }) => {
+                assert_eq!((min_dt, dt), (2.0 * DT, DT));
+            }
+            other => panic!("want InvalidStepControl, got {other:?}"),
         }
     }
 

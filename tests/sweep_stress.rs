@@ -1,11 +1,15 @@
-//! Stress the work-stealing queue: many more scenarios than workers, and
-//! scenario bodies short enough that workers race on the index counter
-//! constantly. Every scenario must run exactly once and land in its slot.
+//! Stress the sweep pool: many more scenarios than workers, and scenario
+//! bodies short enough that workers race on the job queue constantly.
+//! Every scenario must run exactly once and land in its slot, and every
+//! path onto the pool must keep every worker busy.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use amsvp_core::circuits::{rc_ladder, PiecewiseConstant};
-use sweep::{run_ams_sweep, AmsScenario, ScenarioBudget, SweepEngine};
+use obs::{Obs, Report};
+use sweep::{
+    run_ams_sweep, run_ams_sweep_batched, AmsScenario, ScenarioBudget, SweepEngine, SweepFault,
+};
 
 #[test]
 fn two_hundred_scenarios_none_lost_none_duplicated() {
@@ -15,11 +19,11 @@ fn two_hundred_scenarios_none_lost_none_duplicated() {
     let scenarios: Vec<u64> = (0..N as u64).collect();
     let executions = AtomicU64::new(0);
 
-    let out = engine.run(&scenarios, |ctx, s| {
+    let out = engine.run_isolated(&scenarios, &ScenarioBudget::unlimited(), |ctx, s| {
         executions.fetch_add(1, Ordering::Relaxed);
         ctx.obs.add("stress.runs", 1);
         // Tiny but non-trivial body: keep the queue contended.
-        (0..*s % 7).sum::<u64>() + s * 3
+        Ok::<_, SweepFault<()>>((0..*s % 7).sum::<u64>() + s * 3)
     });
 
     assert_eq!(executions.load(Ordering::Relaxed), N as u64);
@@ -27,8 +31,8 @@ fn two_hundred_scenarios_none_lost_none_duplicated() {
     for (i, r) in out.results.iter().enumerate() {
         let s = i as u64;
         assert_eq!(
-            *r,
-            (0..s % 7).sum::<u64>() + s * 3,
+            r.ok(),
+            Some(&((0..s % 7).sum::<u64>() + s * 3)),
             "slot {i} holds the wrong result"
         );
     }
@@ -83,4 +87,103 @@ fn stress_with_real_instances_keeps_slots_straight() {
     }
     // 200 instances each stepped 12 times, all visible in the merged report.
     assert_eq!(out.report.counter("amsim.steps"), 200 * 12);
+}
+
+/// A 16-scenario RC1 tolerance sweep on 4 workers, run three ways onto
+/// the pool: per scenario (`run_ams_sweep`), as a depth-1 forest of
+/// one-lane blocks (`run_ams_sweep_batched`), and as one-scenario blocks
+/// of a generic body (`SweepEngine::run_batched`). Worker *w* starts on
+/// job *w*, so with 16 jobs every worker runs at least one on every path;
+/// the model is compiled once however many scenarios run.
+#[test]
+fn every_pool_path_keeps_every_worker_busy_and_compiles_once() {
+    const SCENARIOS: usize = 16;
+    const WORKERS: usize = 4;
+    const STEPS: usize = 500;
+    const DT: f64 = 1e-6;
+    let module = vams_parser::parse_module(&rc_ladder(1)).unwrap();
+    let compile_obs = Obs::recording();
+    let model = amsim::Simulation::new(&module)
+        .dt(DT)
+        .output("V(out)")
+        .collector(compile_obs.clone())
+        .compile()
+        .unwrap();
+    let compile = compile_obs.report().unwrap();
+    let scenarios: Vec<AmsScenario> = (0..SCENARIOS)
+        .map(|i| AmsScenario {
+            name: format!("rc1/{i}"),
+            stim: Box::new(PiecewiseConstant::seeded(i as u64 + 1, 5, 5e-5, 0.0, 1.0)),
+            steps: STEPS,
+            newton_tol: Some(if i % 2 == 0 { 1e-10 } else { 1e-7 }),
+            step_control: None,
+        })
+        .collect();
+    let engine = SweepEngine::new().workers(WORKERS);
+    let budget = ScenarioBudget::unlimited();
+    let check = |path: &str, report: &Report| {
+        let mut merged = compile.clone();
+        merged.merge(report);
+        assert_eq!(
+            merged.counter("sweep.scenarios"),
+            SCENARIOS as u64,
+            "{path}"
+        );
+        assert_eq!(merged.counter("sweep.workers"), WORKERS as u64, "{path}");
+        for w in 0..WORKERS {
+            assert!(
+                merged.counter(&format!("sweep.worker.{w}.scenarios")) >= 1,
+                "{path}: worker {w} executed no scenarios"
+            );
+        }
+        assert_eq!(
+            merged.counter("amsim.jacobian.builds"),
+            1,
+            "{path}: compile-once violated"
+        );
+        assert_eq!(
+            merged.counter("amsim.steps"),
+            (SCENARIOS * STEPS) as u64,
+            "{path}"
+        );
+    };
+
+    let scalar = run_ams_sweep(&engine, &model, &scenarios, &budget).unwrap();
+    assert_eq!(scalar.results.len(), SCENARIOS);
+    assert!(scalar.results.iter().all(|r| r.is_ok()));
+    assert_eq!(
+        scalar.report.timers["sweep.scenario"].count,
+        SCENARIOS as u64
+    );
+    check("run_ams_sweep", &scalar.report);
+
+    let forest = run_ams_sweep_batched(&engine, &model, &scenarios, 1, &budget).unwrap();
+    assert_eq!(
+        forest.report.counter("sweep.scenarios.ok"),
+        SCENARIOS as u64
+    );
+    check("run_ams_sweep_batched", &forest.report);
+
+    let blocks = engine.run_batched(&scenarios, 1, |obs, block| {
+        block
+            .iter()
+            .map(|sc| {
+                let mut inst = model
+                    .instance_builder()
+                    .collector(obs.clone())
+                    .newton_tol(sc.newton_tol.unwrap())
+                    .build()
+                    .unwrap();
+                for k in 0..sc.steps {
+                    inst.step(&[sc.stim.value(k as f64 * DT)]);
+                }
+                inst.output(0)
+            })
+            .collect()
+    });
+    for (i, (y, r)) in blocks.results.iter().zip(&scalar.results).enumerate() {
+        let last = r.ok().unwrap().waveform.last().unwrap();
+        assert_eq!(y.to_bits(), last.to_bits(), "scenario {i}");
+    }
+    check("SweepEngine::run_batched", &blocks.report);
 }
