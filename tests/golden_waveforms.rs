@@ -79,10 +79,13 @@ fn corpus() -> Vec<Circuit> {
             hi: 1.0,
             step_control: None,
         },
+        // dt is coarse (500 µs vs the ~25 ms ladder diffusion time) so
+        // `V(out)` swings within the 60-step window; at 1 µs it stayed
+        // below 1e-24 V and the fixture pinned rounding noise.
         Circuit {
             label: "RC20",
             src: rc_ladder(20),
-            dt: 1e-6,
+            dt: 5e-4,
             hi: 1.0,
             step_control: None,
         },
@@ -588,6 +591,35 @@ fn fleet_golden_file_is_well_formed() {
         assert_eq!(w.len(), FLEET_STEPS, "{}: device {d}", path.display());
     }
     assert_eq!(parse_fleet_uart(&text).len(), FLEET_DEVICES);
+}
+
+/// A fixture must watch a signal that moves: over its scenarios, `V(out)`
+/// swings by at least this fraction of the stimulus bound `hi`. Below it
+/// the file pins rounding noise, and a re-bless judges nothing.
+const MIN_SWING: f64 = 1e-3;
+
+#[test]
+fn golden_fixtures_watch_a_moving_signal() {
+    for c in corpus() {
+        let path = golden_path(c.label);
+        let text = std::fs::read_to_string(&path)
+            .unwrap_or_else(|e| panic!("{}: unreadable golden file: {e}", path.display()));
+        let (lo, hi) = parse_golden(&text)
+            .iter()
+            .flatten()
+            .map(|&bits| f64::from_bits(bits))
+            .fold((f64::INFINITY, f64::NEG_INFINITY), |(lo, hi), v| {
+                (lo.min(v), hi.max(v))
+            });
+        let swing = hi - lo;
+        assert!(
+            swing >= MIN_SWING * c.hi,
+            "{}: V(out) swings {swing:.3e} V over its scenarios, below {MIN_SWING:.0e} of \
+             the {} V stimulus bound; pick a dt at which V(out) responds within {STEPS} steps",
+            c.label,
+            c.hi
+        );
+    }
 }
 
 #[test]
