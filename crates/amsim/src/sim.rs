@@ -8,7 +8,7 @@ use amsvp_core::acquire::acquire;
 use amsvp_core::{conservative_relations, AbstractError, OutputSpec};
 use expr::vm::{self, Program};
 use expr::Expr;
-use linalg::{AnyLu, SolverKind, Triplets};
+use linalg::{AnyLu, Factorization, LuFactors, SolverKind, Triplets};
 use netlist::{QExpr, Quantity};
 use obs::Obs;
 use vams_ast::Module;
@@ -381,9 +381,9 @@ pub struct CompiledModel {
     /// did.
     pub(crate) init_lu: Option<AnyLu>,
     /// Resolved linear-solver backend (never [`SolverKind::Auto`]):
-    /// chosen at compile time from the zero-state Jacobian's size and
-    /// structural density, or forced via [`Simulation::solver`]. Every
-    /// instance and batch lane of this model solves through it.
+    /// chosen at compile time from the L+U fill of the zero-state
+    /// Jacobian's sparse analysis, or forced via [`Simulation::solver`].
+    /// Every instance and batch lane of this model solves through it.
     pub(crate) backend: SolverKind,
     /// Stable content hash of the compiled artifact (see
     /// [`CompiledModel::model_hash`]).
@@ -550,9 +550,10 @@ impl<'m> Simulation<'m> {
 
     /// Selects the linear-solver backend of the compiled model. The
     /// default, [`SolverKind::Auto`], resolves at compile time from the
-    /// assembled system's size and structural density (small/dense systems
-    /// stay on the dense kernel, RC500-class ladders go sparse);
-    /// [`SolverKind::Dense`] / [`SolverKind::Sparse`] force a backend.
+    /// zero-state Jacobian's sparse analysis, kept when its L+U fill beats
+    /// the dense n² (RC1 stays on the dense kernel, 2IN and up go
+    /// sparse); [`SolverKind::Dense`] / [`SolverKind::Sparse`] force a
+    /// backend.
     pub fn solver(mut self, kind: SolverKind) -> Self {
         self.solver = kind;
         self
@@ -1003,15 +1004,16 @@ fn compile_model(
     let mut stack = Vec::with_capacity(max_stack);
     let mut jt = Triplets::new(n, n);
     stamp_jacobian(&jacobian, &programs, &mut slots, &mut stack, &mut jt);
-    // Resolve `Auto` once, against the zero-state stamp pattern: the
-    // backend is part of the compiled artifact, so every instance and
-    // batch lane of this model solves the same way.
-    let backend = solver.resolve(n, jt.pattern().len());
+    // Resolve `Auto` once, from the fill of the zero-state stamp's sparse
+    // analysis: the backend is part of the compiled artifact, so every
+    // instance and batch lane of this model solves the same way.
     let analyze_start = lower_start.map(|t0| {
         obs.time("amsim.compile.lower", t0.elapsed().as_secs_f64());
         Instant::now()
     });
-    let init_lu = AnyLu::analyze_with(backend, &jt).ok();
+    let (backend, init_lu) =
+        AnyLu::resolve(solver, &jt, || <LuFactors as Factorization>::analyze(&jt));
+    let init_lu = init_lu.ok();
     if let Some(t0) = analyze_start {
         obs.time("amsim.compile.analyze", t0.elapsed().as_secs_f64());
     }

@@ -9,12 +9,17 @@
 //! * co-simulation synchronization: in-process stepping vs a full thread
 //!   round trip per step;
 //! * raw DE-kernel event throughput, with the default no-op collector and
-//!   with a recording collector attached (the instrumentation ablation).
+//!   with a recording collector attached (the instrumentation ablation);
+//! * the `SolverKind::Auto` crossover: each corpus circuit's step on the
+//!   dense and the sparse LU, scalar and in 8- and 16-lane batches,
+//!   beside the dimension and L+U fill the rule compares (DESIGN.md §12).
 
 use amsim::cosim::CosimHandle;
-use amsim::Simulation;
+use amsim::{Simulation, SolverKind, StepControl};
 use amsvp_bench::{abstracted_model, microbench, paper_circuits, Workload};
-use amsvp_core::circuits::{rc_ladder, SquareWave};
+use amsvp_core::circuits::{
+    diode_clamp, opamp, rc_ladder, two_inputs, PiecewiseConstant, SquareWave,
+};
 use amsvp_core::{Abstraction, SolveMode};
 use de::{Kernel, ProcCtx, Process, SimTime};
 use eln::{Method, Transient};
@@ -167,7 +172,105 @@ fn kernel_throughput() {
     }
 }
 
+/// Per-lane-step cost of one compiled circuit, scalar and at 8 and 16
+/// lanes, on one backend; returns the three costs in ns.
+fn backend_step_costs(
+    label: &str,
+    model: &std::sync::Arc<amsim::CompiledModel>,
+    stim: &PiecewiseConstant,
+) -> [f64; 3] {
+    let dt = model.dt();
+    let kind = model.solver_kind();
+    let n_inputs = model.input_names().len();
+    let mut inst = model.instance();
+    let mut u = vec![0.0; n_inputs];
+    let mut k = 0u64;
+    let name = format!("{label}/{kind:?}/scalar");
+    let scalar = microbench("ablation_backend", &name, || {
+        u.fill(stim.value(k as f64 * dt));
+        k += 1;
+        inst.try_step(&u).unwrap();
+        inst.output(0)
+    });
+    let mut costs = [scalar * 1e9, 0.0, 0.0];
+    for (slot, lanes) in [(1, 8), (2, 16)] {
+        let mut batch = model.batch_instance(lanes);
+        let mut inputs = vec![0.0; n_inputs * lanes];
+        let mut k = 0u64;
+        let name = format!("{label}/{kind:?}/lanes{lanes}");
+        let per_batch = microbench("ablation_backend", &name, || {
+            // Lane l replays the stimulus l steps late, so the lanes
+            // carry different values through the same solves.
+            for l in 0..lanes {
+                let v = stim.value((k + l as u64) as f64 * dt);
+                for i in 0..n_inputs {
+                    inputs[i * lanes + l] = v;
+                }
+            }
+            k += 1;
+            assert_eq!(batch.try_step(&inputs), lanes);
+            batch.output(0, 0)
+        });
+        costs[slot] = per_batch * 1e9 / lanes as f64;
+    }
+    costs
+}
+
+/// The `Auto` crossover: for each corpus circuit, the dimension n, the
+/// L+U fill of its zero-state stamp, and the per-lane-step cost on each
+/// backend. `Auto` keeps the sparse analysis when `2·fill ≤ n²`.
+fn backend_crossover() {
+    let clamp = StepControl::new(1e-9).max_retries(20);
+    let corpus = [
+        ("RC1", rc_ladder(1), 50e-9, 1.0, None),
+        ("CLAMP", diode_clamp(), 1e-4, 0.8, Some(clamp)),
+        ("2IN", two_inputs(), 50e-9, 1.0, None),
+        ("OA", opamp(), 50e-9, 1.0, None),
+        ("RC20", rc_ladder(20), 50e-9, 1.0, None),
+        ("RC30", rc_ladder(30), 50e-9, 1.0, None),
+    ];
+    let mut rows = Vec::new();
+    for (label, source, dt, hi, ctrl) in corpus {
+        let module = vams_parser::parse_module(&source).unwrap();
+        let stim = PiecewiseConstant::seeded(1, 5, 6.0 * dt, 0.0, hi);
+        let compile = |kind: SolverKind, obs: Obs| {
+            Simulation::new(&module)
+                .dt(dt)
+                .output("V(out)")
+                .step_control(ctrl)
+                .solver(kind)
+                .collector(obs)
+                .compile()
+                .unwrap()
+        };
+        let obs = Obs::recording();
+        let sparse_model = compile(SolverKind::Sparse, obs.clone());
+        let fill = obs.report().unwrap().counter("linalg.sparse.fill");
+        let n = sparse_model.dim();
+        let auto = compile(SolverKind::Auto, Obs::none()).solver_kind();
+        let dense = backend_step_costs(label, &compile(SolverKind::Dense, Obs::none()), &stim);
+        let sparse = backend_step_costs(label, &sparse_model, &stim);
+        rows.push((label, n, fill, auto, dense, sparse));
+    }
+    println!("\nns per lane-step, dense → sparse; Auto keeps sparse when 2·fill ≤ n²");
+    println!(
+        "circuit     n   fill  fill/n²  Auto    scalar              8 lanes             16 lanes"
+    );
+    for (label, n, fill, auto, d, s) in rows {
+        let ratio = fill as f64 / (n * n) as f64;
+        let pair = |i: usize| format!("{:>7.0} → {:>7.0}", d[i], s[i]);
+        println!(
+            "{label:<6} {n:>6} {fill:>6} {ratio:>8.2}  {:<6} {}   {}   {}",
+            format!("{auto:?}"),
+            pair(0),
+            pair(1),
+            pair(2)
+        );
+    }
+}
+
 fn main() {
+    backend_crossover();
     moc_wrapper_overhead();
     eln_method();
     solve_mode();

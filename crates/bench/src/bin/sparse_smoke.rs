@@ -4,8 +4,9 @@
 //! Runs the paper-scale RC500 ladder (2500 unknowns) through a 0.5 ms
 //! transient at the nominal 1 µs step on both backends and asserts that
 //!
-//! * `SolverKind::Auto` resolves to Sparse for RC500 and to Dense for
-//!   the small 2IN benchmark (the density/size heuristic);
+//! * `SolverKind::Auto` resolves to Sparse for RC500 and RC20 and to
+//!   Dense for RC1, whose L+U fills half its dense square (the fill
+//!   rule);
 //! * the sparse transient is at least `MIN_SPEEDUP`× faster than the
 //!   dense one (the dense per-step cost is an O(n²) triangular solve;
 //!   sparse is O(nnz + fill), near-linear on a ladder);
@@ -27,7 +28,7 @@
 //! violation.
 
 use amsim::{Simulation, SolverKind, StepControl};
-use amsvp_core::circuits::{diode_clamp, rc_ladder, two_inputs, PiecewiseConstant};
+use amsvp_core::circuits::{diode_clamp, rc_ladder, PiecewiseConstant};
 use obs::{Obs, Report};
 use std::time::Instant;
 
@@ -128,17 +129,17 @@ fn resolved_kind(source: &str) -> SolverKind {
 fn main() {
     let mut failures = Vec::new();
 
-    // Auto-selection heuristic at both ends of the size spectrum.
+    // The fill rule across the size spectrum.
     let rc500_src = rc_ladder(500);
-    let auto_rc500 = resolved_kind(&rc500_src);
-    if auto_rc500 != SolverKind::Sparse {
-        failures.push(format!(
-            "Auto resolved RC500 to {auto_rc500:?}, want Sparse"
-        ));
-    }
-    let auto_2in = resolved_kind(&two_inputs());
-    if auto_2in != SolverKind::Dense {
-        failures.push(format!("Auto resolved 2IN to {auto_2in:?}, want Dense"));
+    for (label, source, want) in [
+        ("RC500", &rc500_src, SolverKind::Sparse),
+        ("RC20", &rc_ladder(20), SolverKind::Sparse),
+        ("RC1", &rc_ladder(1), SolverKind::Dense),
+    ] {
+        let got = resolved_kind(source);
+        if got != want {
+            failures.push(format!("Auto resolved {label} to {got:?}, want {want:?}"));
+        }
     }
 
     // RC500 transient, both backends. `V(n3)` near the driven end

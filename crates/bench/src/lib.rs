@@ -580,10 +580,11 @@ pub fn format_rows(title: &str, rows: &[Row]) -> String {
 
 /// Minimal stand-in for a statistical benchmark harness (criterion is
 /// not vendored): warms `f` up briefly, then times batches until ~50 ms
-/// of samples accumulate and prints the mean per-iteration cost.
+/// of samples accumulate, prints the mean per-iteration cost and returns
+/// it in seconds.
 ///
 /// Used by the plain-`main` programs under `benches/`.
-pub fn microbench<R>(group: &str, name: &str, mut f: impl FnMut() -> R) {
+pub fn microbench<R>(group: &str, name: &str, mut f: impl FnMut() -> R) -> f64 {
     let warm = Instant::now();
     let mut batch = 0u64;
     while batch < 5 || warm.elapsed() < Duration::from_millis(10) {
@@ -605,6 +606,7 @@ pub fn microbench<R>(group: &str, name: &str, mut f: impl FnMut() -> R) {
         "{group}/{name:<34} {:>12.0} ns/iter ({count} iters)",
         per * 1e9
     );
+    per
 }
 
 #[cfg(test)]

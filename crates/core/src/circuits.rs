@@ -166,9 +166,9 @@ impl XorShift64 {
 ///
 /// The conservative MNA system has `5n` unknowns (per stage: two branch
 /// voltages, two branch currents, one node), so the family doubles as
-/// the scaling axis for the factorization backends: below the sparse
-/// threshold (RC20 and smaller) `SolverKind::Auto` keeps the dense LU,
-/// while RC30 and up resolve to the sparse pattern-reusing backend
+/// the scaling axis for the factorization backends: `SolverKind::Auto`
+/// keeps the dense LU only for RC1, whose L+U fills half its dense
+/// square, and resolves RC2 and up to the sparse pattern-reusing backend
 /// (RC500 — 2500 unknowns — is the `sparse_smoke` headline benchmark).
 /// Internal nets are named `n1..n{n-1}`, observable as e.g. `V(n3)`;
 /// each stage contributes a τ = RC = 125 µs, and the signal diffuses, so

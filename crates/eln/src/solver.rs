@@ -114,12 +114,9 @@ pub struct CompiledNet {
     /// Branch-current unknowns: component index → row offset.
     branch_of: Vec<Option<usize>>,
     /// Factors of `G + C/dt` (or the trapezoidal companion) at the
-    /// initial switch state, on the resolved backend.
+    /// initial switch state, on the backend resolved at compile time from
+    /// the system's measured fill or forced via [`Transient::solver`].
     lu: AnyLu,
-    /// Resolved linear-solver backend (never [`SolverKind::Auto`]),
-    /// chosen at compile time from the MNA system's size and density or
-    /// forced via [`Transient::solver`].
-    backend: SolverKind,
     g: Matrix,
     c_over_dt: Matrix,
     /// Source component indices with their row info, for rhs builds.
@@ -267,8 +264,9 @@ impl<'n> Transient<'n> {
 
     /// Selects the linear-solver backend of the compiled network. The
     /// default, [`SolverKind::Auto`], resolves at compile time from the
-    /// MNA system's size and structural density;
-    /// [`SolverKind::Dense`] / [`SolverKind::Sparse`] force a backend.
+    /// MNA system's sparse analysis, kept when its L+U fill beats the
+    /// dense n²; [`SolverKind::Dense`] / [`SolverKind::Sparse`] force a
+    /// backend.
     pub fn solver(mut self, kind: SolverKind) -> Self {
         self.solver = kind;
         self
@@ -407,19 +405,10 @@ fn compile_net(
         Method::Trapezoidal => &g + &(&c_mat * (2.0 / dt)),
     };
     let timer = obs.enabled().then(Instant::now);
-    // Resolve `Auto` once, against the assembled system's structural
-    // density; the backend is part of the compiled artifact. The dense
-    // path factors the dense matrix directly (bit-identical to the
-    // historical behavior); the sparse path analyzes triplet stamps.
-    let nnz = (0..dim)
-        .flat_map(|i| (0..dim).map(move |j| (i, j)))
-        .filter(|&(i, j)| a[(i, j)] != 0.0)
-        .count();
-    let backend = solver.resolve(dim, nnz);
-    let lu = match backend {
-        SolverKind::Sparse => AnyLu::analyze_with(SolverKind::Sparse, &dense_to_triplets(&a))?,
-        _ => AnyLu::Dense(LuFactors::factor(&a)?),
-    };
+    // Resolve `Auto` once, from the fill of the system's sparse analysis;
+    // the backend is part of the compiled artifact. The dense path factors
+    // the dense matrix directly (bit-identical to the historical behavior).
+    let lu = AnyLu::resolve(solver, &dense_to_triplets(&a), || LuFactors::factor(&a)).1?;
     if let Some(start) = timer {
         obs.time("eln.factor", start.elapsed().as_secs_f64());
     }
@@ -437,7 +426,6 @@ fn compile_net(
         dim,
         branch_of,
         lu,
-        backend,
         g,
         c_over_dt,
         sources: net.sources.clone(),
@@ -471,7 +459,7 @@ impl CompiledNet {
     /// The linear-solver backend this network's instances solve through,
     /// resolved at compile time (never [`SolverKind::Auto`]).
     pub fn solver_kind(&self) -> SolverKind {
-        self.backend
+        self.lu.kind()
     }
 
     /// Spawns a run instance with no collector — the cheap path for

@@ -10,23 +10,25 @@
 //! per-iteration solve calls free of vtable indirection.
 //!
 //! Backends are picked per compiled model by [`SolverKind`]: `Auto` (the
-//! default) applies a size/density heuristic, `Dense`/`Sparse` force a
+//! default) runs the sparse analysis and keeps it when its measured L+U
+//! fill beats the dense n² ([`AnyLu::resolve`]), `Dense`/`Sparse` force a
 //! backend. The dense path through this seam reproduces the historical
 //! `LuFactors` behavior **bit for bit** — same stamp accumulation order,
-//! same elimination — which is what keeps the golden waveform corpus
-//! byte-stable across the redesign.
+//! same elimination — which is what keeps dense waveforms byte-stable
+//! across the redesign.
 
 use crate::{FactorError, LuFactors, SparseLu, SparseStats, Triplets};
 
 /// Backend selection for the [`Factorization`] seam.
 ///
-/// `Auto` resolves at model-compile time from the assembled system's size
-/// and density; the resolved choice is then fixed for the model's
-/// lifetime (clones, instances, and batch lanes inherit it).
+/// `Auto` resolves at model-compile time from the fill a trial sparse
+/// analysis of the assembled system measures ([`AnyLu::resolve`]); the
+/// resolved choice is then fixed for the model's lifetime (clones,
+/// instances, and batch lanes inherit it).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SolverKind {
-    /// Pick [`SolverKind::Sparse`] for large, sparse systems and
-    /// [`SolverKind::Dense`] otherwise (see [`SolverKind::resolve`]).
+    /// Keep [`SolverKind::Sparse`] when its L+U fill beats the dense n²,
+    /// else [`SolverKind::Dense`] (see [`AnyLu::resolve`]).
     #[default]
     Auto,
     /// Dense LU with partial pivoting ([`LuFactors`]).
@@ -35,29 +37,19 @@ pub enum SolverKind {
     Sparse,
 }
 
-/// `Auto` resolves to sparse only at or above this dimension: below it the
-/// dense kernel's tight loops win regardless of structure, and every
-/// pre-existing corpus circuit (≤ ~100 unknowns) stays bit-identical on
-/// the dense path.
-pub const SPARSE_DIM_THRESHOLD: usize = 128;
+/// `Auto` keeps the sparse backend when `FILL_WEIGHT · fill ≤ n²`: a
+/// sparse solve walks `fill` stored L+U entries through index arrays, a
+/// dense one all n² entries in tight loops, so a sparse entry may cost
+/// up to `FILL_WEIGHT` dense ones. Calibrated on the corpus in DESIGN.md
+/// §12: at RC1's fill/n² of 0.52 the backends tie within host noise and
+/// RC1 keeps its dense bits; from the diode clamp's 0.43 down, every
+/// corpus circuit steps faster sparse.
+const FILL_WEIGHT: usize = 2;
 
-impl SolverKind {
-    /// Resolves `Auto` against a system's dimension and structural
-    /// nonzero count; `Dense` and `Sparse` return themselves. The
-    /// heuristic: sparse when `dim >= 128` and at most a quarter of the
-    /// matrix is structurally nonzero.
-    pub fn resolve(self, dim: usize, structural_nnz: usize) -> SolverKind {
-        match self {
-            SolverKind::Auto => {
-                if dim >= SPARSE_DIM_THRESHOLD && structural_nnz * 4 <= dim * dim {
-                    SolverKind::Sparse
-                } else {
-                    SolverKind::Dense
-                }
-            }
-            fixed => fixed,
-        }
-    }
+/// Whether a system of dimension `n` whose L+U holds `fill` entries
+/// solves cheaper on the sparse backend.
+fn sparse_wins(n: usize, fill: usize) -> bool {
+    FILL_WEIGHT * fill <= n * n
 }
 
 /// Direct-solver factorization of a square system assembled as
@@ -167,14 +159,15 @@ impl Factorization for SparseLu {
 /// # fn main() -> Result<(), amsvp_linalg::FactorError> {
 /// let mut t = Triplets::new(2, 2);
 /// t.push(0, 0, 2.0);
+/// t.push(0, 1, 1.0);
+/// t.push(1, 0, 1.0);
 /// t.push(1, 1, 4.0);
-/// // 2×2 is far below the sparse threshold: Auto resolves to Dense.
-/// let kind = SolverKind::Auto.resolve(t.rows(), t.pattern().len());
-/// assert_eq!(kind, SolverKind::Dense);
-/// let lu = AnyLu::analyze_with(kind, &t)?;
+/// // L+U of a full 2×2 holds all 4 entries: Auto resolves to Dense.
+/// let lu = AnyLu::analyze_with(SolverKind::Auto, &t)?;
+/// assert_eq!(lu.kind(), SolverKind::Dense);
 /// let mut x = [0.0; 2];
-/// lu.solve_into(&[2.0, 8.0], &mut x);
-/// assert_eq!(x, [1.0, 2.0]);
+/// lu.solve_into(&[3.0, 5.0], &mut x);
+/// assert_eq!(x, [1.0, 1.0]);
 /// # Ok(())
 /// # }
 /// ```
@@ -189,13 +182,43 @@ pub enum AnyLu {
 }
 
 impl AnyLu {
-    /// Analyzes `a` with the requested backend. `kind` must already be
-    /// resolved ([`SolverKind::Auto`] is resolved here against `a`'s
-    /// dimensions and structural density as a convenience).
+    /// Analyzes `a` on `kind`'s backend, resolving [`SolverKind::Auto`]
+    /// as [`AnyLu::resolve`] does.
     pub fn analyze_with(kind: SolverKind, a: &Triplets) -> Result<AnyLu, FactorError> {
-        match kind.resolve(a.rows(), a.pattern().len()) {
-            SolverKind::Dense => Ok(AnyLu::Dense(<LuFactors as Factorization>::analyze(a)?)),
-            _ => Ok(AnyLu::Sparse(Box::new(SparseLu::analyze(a)?))),
+        AnyLu::resolve(kind, a, || <LuFactors as Factorization>::analyze(a)).1
+    }
+
+    /// Resolves `kind` for the system `a` and factors `a` on the resolved
+    /// backend, which is returned (never `Auto`) beside the factors or
+    /// the error that backend's factorization met.
+    ///
+    /// `Dense` calls `dense`, the caller's dense factorization of `a`;
+    /// `Sparse` analyzes `a`. `Auto` analyzes `a` sparse and keeps those
+    /// factors when `FILL_WEIGHT · fill ≤ n²` (`FILL_WEIGHT` = 2, see
+    /// DESIGN.md §12), with `fill` the L+U entry count
+    /// ([`SparseLu::factor_nnz`]); otherwise it drops them and calls
+    /// `dense`. When the trial analysis fails, `a`'s structural nonzero
+    /// count, a lower bound on fill, stands in for it.
+    pub fn resolve(
+        kind: SolverKind,
+        a: &Triplets,
+        dense: impl FnOnce() -> Result<LuFactors, FactorError>,
+    ) -> (SolverKind, Result<AnyLu, FactorError>) {
+        let sparse = |lu: SparseLu| AnyLu::Sparse(Box::new(lu));
+        match kind {
+            SolverKind::Dense => (SolverKind::Dense, dense().map(AnyLu::Dense)),
+            SolverKind::Sparse => (SolverKind::Sparse, SparseLu::analyze(a).map(sparse)),
+            SolverKind::Auto => {
+                let trial = SparseLu::analyze(a);
+                let fill = trial
+                    .as_ref()
+                    .map_or_else(|_| a.pattern().len(), SparseLu::factor_nnz);
+                if sparse_wins(a.rows(), fill) {
+                    (SolverKind::Sparse, trial.map(sparse))
+                } else {
+                    (SolverKind::Dense, dense().map(AnyLu::Dense))
+                }
+            }
         }
     }
 
@@ -228,7 +251,7 @@ impl AnyLu {
 }
 
 impl Factorization for AnyLu {
-    /// Auto-selects the backend by the [`SolverKind::resolve`] heuristic.
+    /// Auto-selects the backend from measured fill ([`AnyLu::resolve`]).
     fn analyze(a: &Triplets) -> Result<Self, FactorError> {
         AnyLu::analyze_with(SolverKind::Auto, a)
     }
@@ -282,16 +305,93 @@ mod tests {
         t
     }
 
+    /// The corpus as `Auto` sees it: dimension and L+U fill of each
+    /// circuit's zero-state stamp, and the backend the rule picks.
+    /// `tests/substrate_differential.rs` pins the same numbers end to end.
+    const CORPUS: [(&str, usize, usize, SolverKind); 7] = [
+        ("RC1", 5, 13, SolverKind::Dense),
+        ("CLAMP", 7, 21, SolverKind::Sparse),
+        ("2IN", 10, 29, SolverKind::Sparse),
+        ("OA", 15, 51, SolverKind::Sparse),
+        ("RC20", 100, 377, SolverKind::Sparse),
+        ("RC30", 150, 577, SolverKind::Sparse),
+        ("RC250", 1250, 4797, SolverKind::Sparse),
+    ];
+
     #[test]
-    fn auto_resolution_heuristic() {
-        assert_eq!(SolverKind::Auto.resolve(8, 20), SolverKind::Dense);
-        assert_eq!(SolverKind::Auto.resolve(100, 300), SolverKind::Dense);
-        assert_eq!(SolverKind::Auto.resolve(500, 1500), SolverKind::Sparse);
-        // Large but dense stays dense.
-        assert_eq!(SolverKind::Auto.resolve(200, 200 * 200), SolverKind::Dense);
-        // Forced kinds pass through untouched.
-        assert_eq!(SolverKind::Dense.resolve(500, 1500), SolverKind::Dense);
-        assert_eq!(SolverKind::Sparse.resolve(8, 20), SolverKind::Sparse);
+    fn fill_rule_over_the_corpus() {
+        for (label, n, fill, want) in CORPUS {
+            let sparse = want == SolverKind::Sparse;
+            assert_eq!(sparse_wins(n, fill), sparse, "{label}: n {n}, fill {fill}");
+        }
+    }
+
+    #[test]
+    fn auto_keeps_the_trial_analysis_only_when_sparse() {
+        // Tridiagonal: fill 3n − 2 against n², sparse from n = 6 on.
+        let band = system(20);
+        let (kind, lu) = AnyLu::resolve(SolverKind::Auto, &band, || {
+            panic!("a sparse resolution never factors dense")
+        });
+        let lu = lu.unwrap();
+        assert_eq!((kind, lu.kind()), (SolverKind::Sparse, SolverKind::Sparse));
+        assert_eq!(lu.sparse_stats().analyze, 1, "the trial is the analysis");
+        assert_eq!(lu.sparse_stats().fill, 58);
+
+        // Full 3×3: fill 9 = n², dense; the trial factors are dropped.
+        let mut full = Triplets::new(3, 3);
+        for i in 0..3 {
+            for j in 0..3 {
+                full.push(i, j, if i == j { 4.0 } else { 1.0 });
+            }
+        }
+        let (kind, lu) = AnyLu::resolve(SolverKind::Auto, &full, || {
+            <LuFactors as Factorization>::analyze(&full)
+        });
+        let lu = lu.unwrap();
+        assert_eq!((kind, lu.kind()), (SolverKind::Dense, SolverKind::Dense));
+        assert_eq!(lu.sparse_stats(), SparseStats::default());
+
+        // Forced kinds pass through whatever the fill says.
+        assert_eq!(
+            AnyLu::analyze_with(SolverKind::Dense, &band)
+                .unwrap()
+                .kind(),
+            SolverKind::Dense
+        );
+        assert_eq!(
+            AnyLu::analyze_with(SolverKind::Sparse, &full)
+                .unwrap()
+                .kind(),
+            SolverKind::Sparse
+        );
+    }
+
+    #[test]
+    fn auto_resolves_from_structure_when_the_stamp_does_not_factor() {
+        // A zero row makes both stamps singular. The structural nonzero
+        // count stands in for the fill the failed trial could not measure.
+        let mut ladder = system(200);
+        ladder.push(7, 7, -(3.0 + 7.0 * 0.01));
+        ladder.push(7, 6, 1.0);
+        ladder.push(7, 8, 1.0);
+        let (kind, lu) = AnyLu::resolve(SolverKind::Auto, &ladder, || {
+            panic!("598 nonzeros in 200² resolve sparse")
+        });
+        assert_eq!(kind, SolverKind::Sparse);
+        assert!(matches!(lu, Err(FactorError::Singular(_))), "{lu:?}");
+
+        let mut full = Triplets::new(3, 3);
+        for i in 0..3 {
+            for j in 0..3 {
+                full.push(i, j, 1.0);
+            }
+        }
+        let (kind, lu) = AnyLu::resolve(SolverKind::Auto, &full, || {
+            <LuFactors as Factorization>::analyze(&full)
+        });
+        assert_eq!(kind, SolverKind::Dense);
+        assert!(matches!(lu, Err(FactorError::Singular(_))), "{lu:?}");
     }
 
     #[test]

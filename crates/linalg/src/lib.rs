@@ -7,16 +7,19 @@
 //! * [`Matrix`] — a dense, row-major, `f64` matrix with the usual arithmetic.
 //! * [`Triplets`] — a coordinate-format builder that accumulates MNA stamps;
 //!   the common input of both factorization backends.
-//! * [`LuFactors`] — dense LU with partial pivoting (small systems: the
-//!   paper's circuits peak at 22 nodes / 41 branches).
+//! * [`LuFactors`] — dense LU with partial pivoting (the smallest
+//!   systems, such as the one-stage RC ladder, whose L+U fills half the
+//!   dense square or more).
 //! * [`SparseLu`] — sparse LU with one-time symbolic analysis (row
 //!   matching, minimum-degree ordering, frozen fill pattern) and
-//!   allocation-free numeric
-//!   refactorization (large systems: RC500-class ladders and up).
+//!   allocation-free numeric refactorization (every system whose L+U
+//!   fill beats the dense n²: 2IN, OA, RC20, the diode clamp and the
+//!   RC500-class ladders).
 //! * [`Factorization`] / [`AnyLu`] / [`SolverKind`] — the backend seam:
 //!   `analyze` once per model, `refactor` per Jacobian rebuild,
 //!   `solve_into` / `solve_lanes_into` per iteration, with `Auto`
-//!   selection by size and density.
+//!   keeping the sparse analysis when its measured L+U fill beats the
+//!   dense n².
 //! * Vector helpers ([`norm2`], [`norm_inf`], [`nrmse`]) including the
 //!   normalized root-mean-square error metric the paper reports.
 //!
@@ -49,7 +52,7 @@ mod sparse;
 mod triplet;
 mod vector;
 
-pub use factorization::{AnyLu, Factorization, SolverKind, SPARSE_DIM_THRESHOLD};
+pub use factorization::{AnyLu, Factorization, SolverKind};
 pub use lu::{FactorError, LuFactors, SingularMatrixError};
 pub use matrix::Matrix;
 pub use sparse::{SparseLu, SparseStats};

@@ -521,9 +521,10 @@ fn run_job<W: Write>(job: &JobSpec, w: &mut W, shared: &Shared) -> io::Result<()
     };
     // The backend rung's model goes through the same LRU under the key a
     // plain dense-solver job of this module would use, so the recompile
-    // is shared with (and by) ordinary submissions.
+    // is shared with (and by) ordinary submissions. A model that already
+    // resolved dense has no other backend to fall back to.
     let fallback = match &job.recovery {
-        Some(r) if r.fallback_dense && job.solver != SolverKind::Dense => {
+        Some(r) if r.fallback_dense && model.solver_kind() != SolverKind::Dense => {
             match compile_into_cache(job, SolverKind::Dense, job.dense_cache_key, shared) {
                 Ok((m, _)) => Some(m),
                 Err(msg) => {

@@ -13,7 +13,7 @@ mod common;
 
 use std::sync::Arc;
 
-use amsvp_core::circuits::{rc_ladder, PiecewiseConstant};
+use amsvp_core::circuits::{diode_clamp, rc_ladder, PiecewiseConstant};
 use amsvp_serve::json::{self, Json, JsonBuf};
 use amsvp_serve::{ServeConfig, Server};
 use sweep::{run_ams_sweep_batched, AmsScenario, ScenarioBudget, ScenarioOutcome, SweepEngine};
@@ -316,4 +316,51 @@ fn resubmitting_the_same_module_hits_the_model_cache() {
     assert_eq!(report.counter("serve.cache.hits"), 1);
     assert_eq!(report.counter("serve.jobs.accepted"), 2);
     assert_eq!(report.counter("serve.jobs.completed"), 2);
+}
+
+/// A job with an empty `recovery` block over two seeded scenarios: the
+/// ladder runs with its defaults, including the dense fallback.
+fn recovery_job(module: &str) -> String {
+    let mut b = JsonBuf::new();
+    b.begin_obj()
+        .str_field("module", module)
+        .f64_field("dt", 1e-6)
+        .str_field("output", "V(out)");
+    b.key("recovery");
+    b.begin_obj().end_obj();
+    b.begin_arr("scenarios");
+    for i in 0..2u64 {
+        b.begin_obj()
+            .str_field("name", &format!("pwc{i}"))
+            .u64_field("steps", STEPS)
+            .key("stim");
+        b.begin_obj()
+            .str_field("kind", "pwc")
+            .u64_field("seed", i + 1)
+            .u64_field("segments", 5)
+            .f64_field("hold", 5e-6)
+            .f64_field("lo", 0.0)
+            .f64_field("hi", 1.0)
+            .end_obj();
+        b.end_obj();
+    }
+    b.end_arr();
+    b.end_obj();
+    b.into_string()
+}
+
+/// The backend rung's dense fallback is compiled only for a model that
+/// resolved sparse: under `Auto` the RC1 job is already dense and costs
+/// one compile, while the diode-clamp job resolves sparse and still gets
+/// its fallback, a second cache entry.
+#[test]
+fn dense_fallback_is_compiled_only_for_sparse_models() {
+    for (label, module, misses) in [("RC1", rc_ladder(1), 1), ("CLAMP", diode_clamp(), 2)] {
+        let server = Server::start(ServeConfig::default()).expect("server starts");
+        let resp = common::post(server.local_addr(), "/v1/jobs", &recovery_job(&module));
+        assert_eq!(resp.status, 200, "{label}: job accepted: {}", resp.body);
+        let report = server.shutdown();
+        assert_eq!(report.counter("serve.cache.misses"), misses, "{label}");
+        assert_eq!(report.counter("serve.jobs.completed"), 1, "{label}");
+    }
 }

@@ -1,8 +1,9 @@
 //! Golden-waveform corpus: the six benchmark circuits (Table I's 2IN,
-//! RC1, RC20, OA, the stiff diode clamp, plus a 30-stage RC ladder that
-//! exercises the sparse factorization backend) simulated on the scalar
-//! path with fixed seeds, serialized to `tests/golden/*.json`, and held
-//! bit-exact forever after.
+//! RC1, RC20, OA, the stiff diode clamp, plus a 30-stage RC ladder)
+//! simulated on the scalar path with fixed seeds, serialized to
+//! `tests/golden/*.json`, and held bit-exact forever after. Under
+//! `SolverKind::Auto` RC1 runs the dense factorization backend and the
+//! others the sparse one.
 //!
 //! Every execution mode must reproduce the checked-in bits *exactly* —
 //! f64 bit patterns, not tolerances:
@@ -103,7 +104,7 @@ fn corpus() -> Vec<Circuit> {
             hi: 0.8,
             step_control: Some(clamp_ctrl),
         },
-        // 30 stages → 150 unknowns, above the sparse threshold: under
+        // 30 stages → 150 unknowns with L+U fill 577: under
         // `SolverKind::Auto` every execution mode below runs the sparse
         // backend, pinning its pivot sequence bit-exactly. dt is coarse
         // (1 ms vs the ~56 ms ladder diffusion time) so `V(out)` resolves

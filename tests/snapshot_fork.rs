@@ -4,7 +4,7 @@
 //! `amsim.*` counter at any worker count.
 //!
 //! Circuits come from the paper's Table 1 set (RC ladders, the opamp,
-//! the stiff diode clamp), with both dense and forced-sparse backends
+//! the stiff diode clamp), with forced-dense and forced-sparse backends
 //! and adaptive stepping in the mix — a snapshot must capture the whole
 //! machine state (slots, integrator history, step control, factor
 //! validity), so every one of those paths is a distinct way to get it
@@ -32,9 +32,12 @@ struct Case {
     step_control: Option<StepControl>,
 }
 
-/// Table 1 circuits across the backend/stepping matrix: dense fixed-dt,
-/// forced-sparse fixed-dt (pivot order must survive the round-trip),
-/// and adaptive stepping (current dt and grow streak must survive it).
+/// Table 1 circuits across the backend/stepping matrix: forced-dense
+/// fixed-dt, forced-sparse fixed-dt (pivot order must survive the
+/// round-trip), and adaptive stepping on both (current dt and grow
+/// streak must survive it). The backends are forced because `Auto`
+/// sends all of these circuits sparse, which would leave the dense
+/// snapshot path without fork coverage.
 fn cases() -> Vec<Case> {
     vec![
         Case {
@@ -42,7 +45,7 @@ fn cases() -> Vec<Case> {
             src: rc_ladder(4),
             dt: 1e-6,
             hi: 1.0,
-            solver: SolverKind::Auto,
+            solver: SolverKind::Dense,
             step_control: None,
         },
         Case {
@@ -58,7 +61,7 @@ fn cases() -> Vec<Case> {
             src: amsvp_core::circuits::two_inputs(),
             dt: 1e-6,
             hi: 1.0,
-            solver: SolverKind::Auto,
+            solver: SolverKind::Dense,
             step_control: None,
         },
         Case {
@@ -74,7 +77,7 @@ fn cases() -> Vec<Case> {
             src: diode_clamp(),
             dt: 1e-4,
             hi: 0.8,
-            solver: SolverKind::Auto,
+            solver: SolverKind::Dense,
             step_control: Some(StepControl::new(1e-9).max_retries(20)),
         },
         Case {
@@ -346,7 +349,7 @@ fn tree_sweep_conserves_amsim_counters_across_worker_counts() {
     }
 }
 
-/// RC500 pushes the sparse backend well past the dense threshold; the
+/// RC500 (2 500 unknowns) pushes the sparse backend to paper scale; the
 /// debug profile is too slow for it, and there is no RC500 golden file,
 /// so parity is asserted tree-vs-flat instead.
 #[cfg(not(debug_assertions))]

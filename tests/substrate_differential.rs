@@ -17,7 +17,9 @@
 //! discretization, so they must agree to solver tolerance (NRMSE ≤ 1e-5).
 
 use amsim::{Simulation, SolverKind};
-use amsvp_core::circuits::{paper_benchmarks, rc_ladder, PiecewiseConstant};
+use amsvp_core::circuits::{
+    diode_clamp, opamp, paper_benchmarks, rc_ladder, two_inputs, PiecewiseConstant,
+};
 use amsvp_core::Abstraction;
 use de::{Kernel, SimTime};
 use eln::{ElnNetwork, Method, NodeId, SourceId, Transient};
@@ -296,8 +298,14 @@ fn factorization_backends_agree_on_table1_circuits() {
             err <= EXACT,
             "{label}: dense vs sparse backend NRMSE {err:.3e} exceeds {EXACT:.0e}"
         );
-        if label == "2IN" {
-            // The auto heuristic keeps small dense systems on the dense path.
+        // `Auto` is one of the forced paths, bit for bit: RC1's L+U fills
+        // half its dense square and stays dense, OA's resolves sparse.
+        let forced = match label {
+            "RC1" => Some((SolverKind::Dense, &dense)),
+            "OA" => Some((SolverKind::Sparse, &sparse)),
+            _ => None,
+        };
+        if let Some((want, forced)) = forced {
             let (auto, ak) = ams_waveform_with(
                 &source,
                 n_inputs,
@@ -307,12 +315,139 @@ fn factorization_backends_agree_on_table1_circuits() {
                 &stim,
                 SolverKind::Auto,
             );
-            assert_eq!(ak, SolverKind::Dense, "2IN: Auto must resolve to Dense");
-            assert_eq!(
-                nrmse(&auto, &dense),
-                0.0,
-                "2IN: Auto and Dense must be the same path bit-for-bit"
+            assert_eq!(ak, want, "{label}: Auto must resolve to {want:?}");
+            let bits = |w: &[f64]| w.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            assert!(
+                bits(&auto) == bits(forced),
+                "{label}: Auto and {want:?} must be the same path bit for bit"
             );
+        }
+    }
+}
+
+/// `Auto` resolves each corpus circuit from the L+U fill of its
+/// zero-state stamp: sparse when twice the fill is at most n². The table
+/// is DESIGN.md §12's calibration table. A sparse resolution keeps its
+/// trial as the one analysis; a dense one drops it and reports no
+/// `linalg.sparse.*` counter, so each row's fill is also read from a
+/// forced-sparse compile.
+#[test]
+fn auto_resolves_the_corpus_from_measured_fill() {
+    let corpus = [
+        ("RC1", rc_ladder(1), 5, 13, SolverKind::Dense),
+        ("CLAMP", diode_clamp(), 7, 21, SolverKind::Sparse),
+        ("2IN", two_inputs(), 10, 29, SolverKind::Sparse),
+        ("OA", opamp(), 15, 51, SolverKind::Sparse),
+        ("RC20", rc_ladder(20), 100, 377, SolverKind::Sparse),
+        ("RC30", rc_ladder(30), 150, 577, SolverKind::Sparse),
+    ];
+    let compile = |source: &str, kind: SolverKind| {
+        let module = vams_parser::parse_module(source).unwrap();
+        let obs = obs::Obs::recording();
+        let model = Simulation::new(&module)
+            .dt(1e-6)
+            .output("V(out)")
+            .solver(kind)
+            .collector(obs.clone())
+            .compile()
+            .unwrap();
+        (model, obs.report().unwrap())
+    };
+    for (label, source, n, fill, want) in corpus {
+        let (model, report) = compile(&source, SolverKind::Auto);
+        assert_eq!(model.dim(), n, "{label}: dimension");
+        assert_eq!(model.solver_kind(), want, "{label}: Auto resolution");
+        let kept = want == SolverKind::Sparse;
+        assert_eq!(
+            report.counter("linalg.sparse.analyze"),
+            u64::from(kept),
+            "{label}: analyses"
+        );
+        assert_eq!(
+            report.counter("linalg.sparse.fill"),
+            if kept { fill } else { 0 },
+            "{label}: Auto's fill"
+        );
+        let (_, sparse) = compile(&source, SolverKind::Sparse);
+        assert_eq!(sparse.counter("linalg.sparse.fill"), fill, "{label}: fill");
+    }
+}
+
+/// When the zero-state Jacobian does not factor, compile still resolves
+/// `Auto`, with the stamp's structural nonzero count standing in for the
+/// fill. A chain of cubic conductors has no slope at zero volts, so its
+/// middle node is undetermined there.
+#[test]
+fn auto_resolves_a_singular_zero_state_from_structure() {
+    let src = "module cubic(in, out);
+  input in; output out;
+  parameter real G = 1m;
+  electrical in, out, gnd;
+  ground gnd;
+  branch (in, out) g0;
+  branch (out, gnd) g1;
+  analog begin
+    I(g0) <+ G * V(g0) * V(g0) * V(g0);
+    I(g1) <+ G * V(g1) * V(g1) * V(g1);
+  end
+endmodule
+";
+    let module = vams_parser::parse_module(src).unwrap();
+    let obs = obs::Obs::recording();
+    let model = Simulation::new(&module)
+        .dt(1e-6)
+        .output("V(out)")
+        .collector(obs.clone())
+        .compile()
+        .unwrap();
+    let report = obs.report().unwrap();
+    assert_eq!(
+        report.counter("amsim.lu.factorizations"),
+        0,
+        "the zero-state stamp must not factor for this test to mean anything"
+    );
+    assert_eq!(report.counter("linalg.sparse.analyze"), 0);
+    // Ten structural nonzeros in a 5×5 stamp: 2·10 ≤ 25.
+    assert_eq!(model.dim(), 5);
+    assert_eq!(model.solver_kind(), SolverKind::Sparse);
+}
+
+/// An oracle for both factorization backends that does not come from
+/// another simulator: under backward Euler, RC1's `V(out)` follows
+/// `v' = (v + a·u) / (1 + a)` with `a = Δt/RC` (R = 5 kΩ, C = 25 nF).
+/// 1 000 steps of a seeded piecewise-constant input at each of three step
+/// sizes, every sample within 1e-13 V of the recurrence.
+#[test]
+fn rc1_follows_the_exact_backward_euler_recurrence_on_both_backends() {
+    const TOL: f64 = 1e-13;
+    const RC: f64 = 5e3 * 25e-9;
+    const STEPS: usize = 1000;
+    let source = rc_ladder(1);
+    for (seed, dt) in [(1, 50e-9), (2, 1e-6), (3, 20e-6)] {
+        let stim = PiecewiseConstant::seeded(seed, 20, 50.0 * dt, -1.0, 1.0);
+        let a = dt / RC;
+        let mut v = 0.0;
+        let exact: Vec<f64> = (0..STEPS)
+            .map(|k| {
+                v = (v + a * stim.value(k as f64 * dt)) / (1.0 + a);
+                v
+            })
+            .collect();
+        let (lo, hi) = exact
+            .iter()
+            .fold((f64::INFINITY, f64::NEG_INFINITY), |(lo, hi), &v| {
+                (lo.min(v), hi.max(v))
+            });
+        assert!(hi - lo > 1e-2, "dt {dt:e}: V(out) nearly flat ({lo}..{hi})");
+        for kind in [SolverKind::Dense, SolverKind::Sparse] {
+            let (wave, _) = ams_waveform_with(&source, 1, dt, STEPS, "V(out)", &stim, kind);
+            for (k, (got, want)) in wave.iter().zip(&exact).enumerate() {
+                assert!(
+                    (got - want).abs() <= TOL,
+                    "{kind:?}, dt {dt:e}, step {k}: {got} vs exact {want} (|Δ| {:.2e})",
+                    (got - want).abs()
+                );
+            }
         }
     }
 }
@@ -346,7 +481,7 @@ fn factorization_backends_agree_on_rc_ladder() {
     assert_eq!(
         sk,
         SolverKind::Sparse,
-        "RC{stages}: Auto must resolve to Sparse above the size threshold"
+        "RC{stages}: Auto must resolve to Sparse"
     );
     let err = nrmse(&dense, &sparse);
     assert!(

@@ -168,7 +168,7 @@ fn model_is_compiled_once_no_matter_the_sweep_size() {
 }
 
 /// Determinism must survive the sparse backend: a 30-stage ladder (150
-/// unknowns, above the sparse threshold) swept scalar and 8-lane-batched
+/// unknowns, which `Auto` resolves sparse) swept scalar and 8-lane-batched
 /// at 1/2/8 workers produces one bit-exact answer. The sparse pivot
 /// sequence and fill pattern are frozen per compiled model, so neither
 /// lane packing nor scheduling can perturb the elimination order.
