@@ -59,7 +59,7 @@ use std::collections::BTreeMap;
 use std::io::{self, BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, PoisonError};
+use std::sync::{mpsc, Arc, Condvar, Mutex, PoisonError};
 use std::thread;
 use std::time::{Duration, Instant};
 
@@ -141,8 +141,18 @@ struct Shared {
     draining: AtomicBool,
     /// Truncate open streams at the next record boundary.
     hard_drain: AtomicBool,
-    conns: Mutex<usize>,
+    conns: Mutex<Conns>,
     conns_done: Condvar,
+}
+
+/// Connection bookkeeping shared by the accept loop and the handlers.
+#[derive(Default)]
+struct Conns {
+    /// Connections holding a slot.
+    open: usize,
+    /// Handlers waiting for a connection, by index into the accept loop's
+    /// handler list; the one that went idle last is last.
+    idle: Vec<usize>,
 }
 
 impl Server {
@@ -164,7 +174,7 @@ impl Server {
             next_job_id: AtomicU64::new(1),
             draining: AtomicBool::new(false),
             hard_drain: AtomicBool::new(false),
-            conns: Mutex::new(0),
+            conns: Mutex::new(Conns::default()),
             conns_done: Condvar::new(),
         });
         let accept_shared = Arc::clone(&shared);
@@ -240,7 +250,7 @@ impl Server {
             .conns
             .lock()
             .unwrap_or_else(PoisonError::into_inner);
-        while *conns > 0 {
+        while conns.open > 0 {
             match deadline {
                 Some(d) => {
                     let left = d.saturating_sub(start.elapsed());
@@ -287,6 +297,15 @@ impl Drop for Server {
 }
 
 fn accept_loop(listener: TcpListener, shared: Arc<Shared>) {
+    // Connection handlers, each fed through its own channel. A handler
+    // that finishes a connection waits for the next one instead of
+    // exiting, and a new connection goes to the handler that went idle
+    // last, so a client that reconnects for every job is served by one
+    // thread throughout. Threads that exit and start per connection would
+    // leave the server's resident memory to how each exit races the
+    // next thread's start: a thread still exiting holds on to its
+    // allocator arena, and the new one grows another.
+    let mut handlers: Vec<(mpsc::Sender<TcpStream>, thread::JoinHandle<()>)> = Vec::new();
     for stream in listener.incoming() {
         if shared.draining.load(Ordering::SeqCst) {
             break;
@@ -295,9 +314,9 @@ fn accept_loop(listener: TcpListener, shared: Arc<Shared>) {
             Ok(s) => s,
             Err(_) => continue,
         };
-        {
+        let idle = {
             let mut conns = shared.conns.lock().unwrap_or_else(PoisonError::into_inner);
-            if *conns >= shared.config.max_connections {
+            if conns.open >= shared.config.max_connections {
                 drop(conns);
                 let mut s = stream;
                 let _ = http::write_response(
@@ -309,37 +328,59 @@ fn accept_loop(listener: TcpListener, shared: Arc<Shared>) {
                 );
                 continue;
             }
-            *conns += 1;
+            conns.open += 1;
+            conns.idle.pop()
+        };
+        if let Some(i) = idle {
+            // An idle handler is parked on its channel, so this cannot fail.
+            let _ = handlers[i].0.send(stream);
+            continue;
         }
+        let (tx, rx) = mpsc::channel();
+        let _ = tx.send(stream);
+        let i = handlers.len();
         let conn_shared = Arc::clone(&shared);
         let spawned = thread::Builder::new()
             .name("serve-conn".to_string())
             .spawn(move || {
-                handle_connection(stream, &conn_shared);
-                release_conn(&conn_shared);
+                for stream in rx {
+                    handle_connection(&stream, &conn_shared);
+                    release_conn(&conn_shared, Some(i));
+                    // The socket closes only now, so a client that
+                    // reconnects once it sees the close finds this
+                    // handler idle.
+                    drop(stream);
+                }
             });
-        if spawned.is_err() {
+        match spawned {
+            Ok(h) => handlers.push((tx, h)),
             // Thread exhaustion must not leak the slot we just took, or
             // the drain path would wait on a connection that never ran.
-            release_conn(&shared);
+            Err(_) => release_conn(&shared, None),
         }
+    }
+    // Only a drain ends the loop, and it waits for every slot anyway:
+    // closing the channels stops the handlers, and joining them leaves
+    // none running once the server has stopped.
+    for (tx, h) in handlers {
+        drop(tx);
+        let _ = h.join();
     }
 }
 
-/// Gives a connection slot back and wakes the drain waiter.
-fn release_conn(shared: &Shared) {
+/// Gives a connection slot back and wakes the drain waiter; `handler`,
+/// the index of the handler that held the slot, goes idle.
+fn release_conn(shared: &Shared, handler: Option<usize>) {
     let mut conns = shared.conns.lock().unwrap_or_else(PoisonError::into_inner);
-    *conns -= 1;
+    conns.open -= 1;
+    conns.idle.extend(handler);
     shared.conns_done.notify_all();
 }
 
-fn handle_connection(stream: TcpStream, shared: &Shared) {
+fn handle_connection(stream: &TcpStream, shared: &Shared) {
     let _ = stream.set_read_timeout(shared.config.read_timeout);
     let _ = stream.set_nodelay(true);
-    let mut reader = BufReader::new(match stream.try_clone() {
-        Ok(s) => s,
-        Err(_) => return,
-    });
+    let mut reader = BufReader::new(stream);
     let mut writer = stream;
     loop {
         let req = match http::read_request(&mut reader, &shared.config.limits) {
@@ -1363,5 +1404,29 @@ impl Fnv1a {
 
     fn finish(&self) -> u64 {
         self.0
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::io::Read;
+
+    /// One-shot connections made one after another, each read to its
+    /// close, are all served by the first handler: it goes idle before
+    /// it closes the socket, so the next connection finds it idle.
+    #[test]
+    fn sequential_connections_reuse_one_handler() {
+        let server = Server::start(ServeConfig::default()).expect("server starts");
+        for _ in 0..4 {
+            let mut s = TcpStream::connect(server.local_addr()).expect("connect");
+            s.write_all(b"GET /v1/health HTTP/1.1\r\nHost: t\r\nConnection: close\r\n\r\n")
+                .expect("send");
+            let mut response = Vec::new();
+            s.read_to_end(&mut response).expect("read to the close");
+            assert!(response.starts_with(b"HTTP/1.1 200"));
+            let conns = server.shared.conns.lock().expect("no handler panicked");
+            assert_eq!((conns.open, conns.idle.as_slice()), (0, &[0][..]));
+        }
     }
 }

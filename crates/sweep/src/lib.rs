@@ -12,7 +12,8 @@
 //! each scenario then pays only for a cheap per-run instance.
 //!
 //! [`SweepEngine`] runs every sweep on one pool of scoped `std::thread`
-//! workers fed by one job queue. A job is one scenario
+//! workers fed by one job queue (a pool of one works on the calling
+//! thread). A job is one scenario
 //! ([`SweepEngine::run_isolated`]), one lane-block
 //! ([`SweepEngine::run_batched`]) or one chunk of sibling tree segments
 //! (the batched AMS sweeps below), and a job that finishes a shared tree
@@ -577,9 +578,40 @@ impl<J> Drop for Claimed<'_, J> {
     }
 }
 
+/// A finished pool job: `(worker, output, report, seconds)`.
+type Finished<J, R> = (usize, JobOutput<J, R>, Report, f64);
+
+/// Pool worker `w`: runs `first`, then pops `queue` until every job has
+/// completed, handing each finished job to `done`; stops early when
+/// `done` returns false.
+fn work<J, R, F>(
+    w: usize,
+    mut first: Option<J>,
+    queue: &JobQueue<J>,
+    run: &F,
+    mut done: impl FnMut(Finished<J, R>) -> bool,
+) where
+    F: Fn(J, &Obs) -> JobOutput<J, R>,
+{
+    while let Some(job) = first.take().or_else(|| queue.pop()) {
+        let _claimed = Claimed(queue);
+        let t0 = Instant::now();
+        let obs = Obs::recording();
+        let mut output = run(job, &obs);
+        let secs = t0.elapsed().as_secs_f64();
+        let report = obs.report().unwrap_or_default();
+        // Forks go in before this job completes, so the outstanding count
+        // never transiently hits zero.
+        queue.push(std::mem::take(&mut output.forks));
+        if !done((w, output, report, secs)) {
+            return;
+        }
+    }
+}
+
 /// The crate's one scheduler: runs `seeds`, and every job they fork, on
-/// `workers` scoped threads, and assembles `slots` results in index
-/// order.
+/// `workers` scoped threads, or on the caller's thread when `workers` is
+/// 1, and assembles `slots` results in index order.
 ///
 /// Worker *w* starts on seed *w*, then pops the queue, so with at least
 /// as many seeds as workers every worker runs at least one job. Each job
@@ -595,8 +627,9 @@ impl<J> Drop for Claimed<'_, J> {
 /// `sweep.batch.blocks` count, when `blocks`, else `sweep.scenario` —
 /// and `sweep.wall`.
 ///
-/// A panic that escapes a job propagates once every worker has stopped:
-/// the [`Claimed`] guard completes the job, so no worker waits for it.
+/// A panic that escapes a job propagates, with its payload, once every
+/// worker has stopped: the [`Claimed`] guard completes the job, so no
+/// worker waits for it.
 fn run_pool<J, R, F, O>(
     workers: usize,
     slots: usize,
@@ -617,62 +650,71 @@ where
     // collected from a partly consumed `vec::IntoIter` corrupts its
     // elements once it grows.
     let mut queued = VecDeque::from(seeds);
-    let firsts: Vec<Option<J>> = (0..workers).map(|_| queued.pop_front()).collect();
+    let mut firsts: Vec<Option<J>> = (0..workers).map(|_| queued.pop_front()).collect();
     let queue = JobQueue {
         state: Mutex::new((queued, outstanding)),
         cv: Condvar::new(),
     };
-    let (tx, rx) = mpsc::channel::<(usize, JobOutput<J, R>, Report, f64)>();
-
     let mut results: Vec<Option<R>> = Vec::with_capacity(slots);
     results.resize_with(slots, || None);
     let mut per_worker = vec![0u64; workers];
     // `(key, slot, report, secs)` per job, placed in key order after the
     // run so the merged report never depends on scheduling.
     let mut jobs: Vec<(usize, usize, Report, f64)> = Vec::new();
-
-    std::thread::scope(|scope| {
-        for (w, mut first) in firsts.into_iter().enumerate() {
-            let tx = tx.clone();
-            let queue = &queue;
-            let run = &run;
-            scope.spawn(move || {
-                while let Some(job) = first.take().or_else(|| queue.pop()) {
-                    let _claimed = Claimed(queue);
-                    let t0 = Instant::now();
-                    let obs = Obs::recording();
-                    let mut output = run(job, &obs);
-                    let secs = t0.elapsed().as_secs_f64();
-                    let report = obs.report().unwrap_or_default();
-                    // Forks go in before this job completes, so the
-                    // outstanding count never transiently hits zero.
-                    queue.push(std::mem::take(&mut output.forks));
-                    if tx.send((w, output, report, secs)).is_err() {
-                        return;
-                    }
-                }
+    let empty = Report::default();
+    // Takes in one finished job, on the caller's thread.
+    let mut finish = |(w, output, report, secs): Finished<J, R>| {
+        for (i, (first, run)) in output.runs.iter().enumerate() {
+            observe(SweepEvent {
+                first_index: *first,
+                results: run,
+                report: if i == 0 { &report } else { &empty },
             });
         }
-        drop(tx);
-        let empty = Report::default();
-        for (w, output, report, secs) in rx {
-            for (i, (first, run)) in output.runs.iter().enumerate() {
-                observe(SweepEvent {
-                    first_index: *first,
-                    results: run,
-                    report: if i == 0 { &report } else { &empty },
-                });
+        for (first, run) in output.runs {
+            per_worker[w] += run.len() as u64;
+            for (slot, r) in (first..).zip(run) {
+                debug_assert!(results[slot].is_none(), "slot {slot} resolved twice");
+                results[slot] = Some(r);
             }
-            for (first, run) in output.runs {
-                per_worker[w] += run.len() as u64;
-                for (slot, r) in (first..).zip(run) {
-                    debug_assert!(results[slot].is_none(), "slot {slot} resolved twice");
-                    results[slot] = Some(r);
-                }
-            }
-            jobs.push((output.key, output.slot, report, secs));
         }
-    });
+        jobs.push((output.key, output.slot, report, secs));
+    };
+
+    if workers == 1 {
+        // A pool of one works on the caller's thread: no thread per
+        // sweep, and no memory that one thread allocates and another
+        // frees, which would leave each allocator arena's footprint to
+        // the timing between them.
+        work(0, firsts.pop().flatten(), &queue, &run, |done| {
+            finish(done);
+            true
+        });
+    } else {
+        let (tx, rx) = mpsc::channel::<Finished<J, R>>();
+        let escaped = std::thread::scope(|scope| {
+            let handles: Vec<_> = firsts
+                .into_iter()
+                .enumerate()
+                .map(|(w, first)| {
+                    let tx = tx.clone();
+                    let (queue, run) = (&queue, &run);
+                    scope.spawn(move || work(w, first, queue, run, |done| tx.send(done).is_ok()))
+                })
+                .collect();
+            drop(tx);
+            rx.into_iter().for_each(&mut finish);
+            // `scope` waits for the workers' closures, not for their
+            // threads to exit. Joining them does, so no worker outlives
+            // the sweep to race the next sweep's workers for an arena.
+            handles
+                .into_iter()
+                .fold(None, |escaped, h| escaped.or(h.join().err()))
+        });
+        if let Some(payload) = escaped {
+            std::panic::resume_unwind(payload);
+        }
+    }
 
     let wall = start.elapsed().as_secs_f64();
 
@@ -1746,6 +1788,21 @@ mod tests {
     use super::*;
     use amsvp_core::circuits::{rc_ladder, PiecewiseConstant};
 
+    /// A pool of one starts no thread: every job runs on the caller's
+    /// thread.
+    #[test]
+    fn one_worker_pool_runs_on_the_calling_thread() {
+        let caller = std::thread::current().id();
+        let blocks: Vec<usize> = (0..9).collect();
+        let out = SweepEngine::new()
+            .workers(1)
+            .run_batched(&blocks, 2, |_, block| {
+                vec![std::thread::current().id(); block.len()]
+            });
+        assert_eq!(out.results, vec![caller; 9]);
+        assert_eq!(out.report.counter("sweep.worker.0.scenarios"), 9);
+    }
+
     #[test]
     fn runs_every_scenario_exactly_once_in_order() {
         let engine = SweepEngine::new().workers(3);
@@ -2784,12 +2841,18 @@ mod tests {
                         Ok(())
                     }
                 }));
-                let _ = tx.send(swept.is_err());
+                let _ = tx.send(swept.err().map(panic_message));
             });
-            let panicked = rx
+            let escaped = rx
                 .recv_timeout(std::time::Duration::from_secs(10))
-                .unwrap_or_else(|_| panic!("{case}: sweep still blocked after 10 s"));
-            assert!(panicked, "{case}: the escaping panic must propagate");
+                .unwrap_or_else(|_| panic!("{case}: sweep still blocked after 10 s"))
+                .unwrap_or_else(|| panic!("{case}: the escaping panic must propagate"));
+            let cause = if case == "blocks" {
+                "injected block panic"
+            } else {
+                "panic payload dropped"
+            };
+            assert!(escaped.contains(cause), "{case}: propagated `{escaped}`");
         }
     }
 
