@@ -24,18 +24,7 @@ use de::{ProcCtx, Process, SimTime};
 use eln::{ElnNetwork, ElnSolver, NodeId, SourceId};
 use tdf::{InPort, Io, OutPort, TdfExecutor, TdfGraph, TdfModule};
 
-use crate::bus::SharedBridge;
-
-/// Computes the analog input sample: stimulus plus CPU DAC contribution.
-fn input_sample<S: Stimulus>(stim: &S, t: f64, bridge: &SharedBridge) -> f64 {
-    stim.value(t) + bridge.borrow().dac
-}
-
-fn publish(bridge: &SharedBridge, aout: f64) {
-    let mut b = bridge.borrow_mut();
-    b.aout = aout;
-    b.samples = b.samples.wrapping_add(1);
-}
+use crate::bus::{input_sample, publish, SharedBridge};
 
 // ---------------------------------------------------------------- SC-DE
 

@@ -294,8 +294,11 @@ fn encode(
             // addresses independent of operand values.
             words.push(i_type(0x0F, 0, 1, v >> 16)); // lui $at, hi
             if v >> 16 == 0 {
+                // addiu sign-extends, so 0x8000–0xFFFF take the
+                // zero-extending ori.
+                let op = if v < 0x8000 { 0x09 } else { 0x0D };
                 let last = words.len() - 1;
-                words[last] = i_type(0x09, 0, rt, v & 0xFFFF); // addiu rt,$0,lo
+                words[last] = i_type(op, 0, rt, v & 0xFFFF); // addiu/ori rt,$0,lo
                 words.push(0); // nop filler keeps the size fixed
             } else {
                 words.push(i_type(0x0D, 1, rt, v & 0xFFFF)); // ori rt, $at, lo

@@ -11,7 +11,9 @@
 use std::cell::RefCell;
 use std::rc::Rc;
 
-use crate::cpu::Bus32;
+use amsvp_core::circuits::Stimulus;
+
+use crate::cpu::{Bus32, Decoded};
 
 /// RAM window base (code + data).
 pub const RAM_BASE: u32 = 0x0000_0000;
@@ -53,6 +55,20 @@ pub fn new_bridge() -> SharedBridge {
     Rc::new(RefCell::new(AnalogBridgeState::default()))
 }
 
+/// The analog input sample at `t`: the stimulus plus the CPU's DAC
+/// contribution.
+pub(crate) fn input_sample<S: Stimulus + ?Sized>(stim: &S, t: f64, bridge: &SharedBridge) -> f64 {
+    stim.value(t) + bridge.borrow().dac
+}
+
+/// Publishes one analog output sample: the firmware's next ADC reads see
+/// it, and the sample counter advances.
+pub(crate) fn publish(bridge: &SharedBridge, aout: f64) {
+    let mut b = bridge.borrow_mut();
+    b.aout = aout;
+    b.samples = b.samples.wrapping_add(1);
+}
+
 /// Shared UART transmit log.
 pub type SharedUart = Rc<RefCell<Vec<u8>>>;
 
@@ -67,10 +83,25 @@ pub fn reg_to_volts(raw: u32) -> f64 {
 }
 
 /// The platform bus: RAM + UART + analog bridge.
+///
+/// Instruction fetches from the words the latest
+/// [`load_words`](PlatformBus::load_words) wrote come from a decoded
+/// mirror of those words, kept equal to `Decoded::new` of the RAM word
+/// at every mirrored address: `load_words` decodes what it writes and
+/// `write32` re-decodes any word it stores into the mirrored range.
+/// Fetches elsewhere decode `read32`.
 pub struct PlatformBus {
     ram: Vec<u8>,
+    /// Byte address of `text[0]`, 4-aligned.
+    text_base: u32,
+    /// The decoded mirror.
+    text: Vec<Decoded>,
     uart: SharedUart,
     bridge: SharedBridge,
+    /// The ADC register for the `aout` whose bits are `adc.0`: a poll
+    /// converts only after the analog side published a new sample (or a
+    /// caller wrote `aout` directly).
+    adc: (u64, u32),
     /// Reads/writes that fell outside every window (diagnostics).
     pub bus_errors: u64,
 }
@@ -80,13 +111,18 @@ impl PlatformBus {
     pub fn new(uart: SharedUart, bridge: SharedBridge) -> Self {
         PlatformBus {
             ram: vec![0; RAM_SIZE as usize],
+            text_base: 0,
+            text: Vec::new(),
             uart,
             bridge,
+            // +0.0 V reads as register 0.
+            adc: (0, 0),
             bus_errors: 0,
         }
     }
 
-    /// Loads a word image at a byte offset into RAM (firmware loading).
+    /// Loads a word image at a byte offset into RAM (firmware loading)
+    /// and decodes the RAM words it covers into the fetch mirror.
     ///
     /// # Panics
     ///
@@ -96,10 +132,38 @@ impl PlatformBus {
             let a = base as usize + i * 4;
             self.ram[a..a + 4].copy_from_slice(&w.to_le_bytes());
         }
+        let start = base as usize & !3;
+        let end = (base as usize + words.len() * 4 + 3) & !3;
+        self.text_base = start as u32;
+        self.text = self.ram[start..end]
+            .chunks_exact(4)
+            .map(|w| Decoded::new(u32::from_le_bytes(w.try_into().expect("4-byte chunk"))))
+            .collect();
+    }
+
+    /// Index into `text` of the word holding `addr`; out of range when
+    /// the word is not mirrored.
+    fn text_index(&self, addr: u32) -> usize {
+        ((addr & !3).wrapping_sub(self.text_base) / 4) as usize
+    }
+
+    /// The whole RAM window.
+    #[cfg(test)]
+    pub(crate) fn ram(&self) -> &[u8] {
+        &self.ram
     }
 }
 
 impl Bus32 for PlatformBus {
+    #[inline]
+    fn fetch(&mut self, addr: u32) -> Decoded {
+        match self.text.get(self.text_index(addr)) {
+            Some(&instr) => instr,
+            None => Decoded::new(self.read32(addr)),
+        }
+    }
+
+    #[inline]
     fn read32(&mut self, addr: u32) -> u32 {
         if addr < RAM_BASE + RAM_SIZE {
             let a = (addr & !3) as usize;
@@ -107,7 +171,13 @@ impl Bus32 for PlatformBus {
         }
         match addr {
             UART_STATUS => 1, // always ready
-            ADC_DATA => volts_to_reg(self.bridge.borrow().aout),
+            ADC_DATA => {
+                let aout = self.bridge.borrow().aout;
+                if aout.to_bits() != self.adc.0 {
+                    self.adc = (aout.to_bits(), volts_to_reg(aout));
+                }
+                self.adc.1
+            }
             ADC_COUNT => self.bridge.borrow().samples,
             DAC_DATA => volts_to_reg(self.bridge.borrow().dac),
             _ => {
@@ -121,6 +191,10 @@ impl Bus32 for PlatformBus {
         if addr < RAM_BASE + RAM_SIZE {
             let a = (addr & !3) as usize;
             self.ram[a..a + 4].copy_from_slice(&value.to_le_bytes());
+            let i = self.text_index(addr);
+            if let Some(instr) = self.text.get_mut(i) {
+                *instr = Decoded::new(value);
+            }
             return;
         }
         match addr {

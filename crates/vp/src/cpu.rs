@@ -2,15 +2,24 @@
 //!
 //! The paper's virtual platform runs software on "a MIPS-based CPU
 //! executing assembly instructions contained in the memory" (§V-B). This
-//! core executes one instruction per [`CpuCore::step`], fetching and
-//! accessing data through a caller-supplied [`Bus32`], so the same core
-//! drives both the discrete-event platform and the fast single-loop
-//! platform.
+//! core executes one instruction per [`CpuCore::step`], or a whole burst
+//! of clock cycles per [`CpuCore::run_cycles`], fetching and accessing
+//! data through a caller-supplied [`Bus32`], so the same core drives both
+//! the discrete-event platform and the fast single-loop platform.
+//!
+//! Instructions reach the core predecoded ([`Bus32::fetch`] returns a
+//! [`Decoded`]): field extraction and opcode classification happen once
+//! per word, so a bus that mirrors its firmware image in decoded form
+//! (as [`PlatformBus`](crate::PlatformBus) does) decodes each image word
+//! once per load instead of once per execution.
 //!
 //! Supported subset: the common MIPS-I ALU, shift, load/store, branch and
 //! jump instructions (no FPU, no TLB, no branch delay slots — delay slots
 //! are an ISA artifact irrelevant to platform-level simulation and are
 //! intentionally not modeled). `break` halts the core.
+
+#[cfg(test)]
+mod oracle;
 
 /// Word-addressable memory/peripheral interface the core executes against.
 pub trait Bus32 {
@@ -18,6 +27,13 @@ pub trait Bus32 {
     fn read32(&mut self, addr: u32) -> u32;
     /// Writes a 32-bit word (address must be 4-aligned).
     fn write32(&mut self, addr: u32, value: u32);
+
+    /// Fetches the instruction at `addr`, decoded; default decodes
+    /// `read32(addr)`. An override must return what the default would,
+    /// with the same side effects on the bus.
+    fn fetch(&mut self, addr: u32) -> Decoded {
+        Decoded::new(self.read32(addr))
+    }
 
     /// Reads a byte; default goes through `read32`.
     fn read8(&mut self, addr: u32) -> u8 {
@@ -50,10 +66,185 @@ pub trait Bus32 {
     }
 }
 
+/// The operation of a decoded word; add/addu, sub/subu and addi/addiu
+/// share one operation each (no overflow trap is modeled).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Op {
+    Sll,
+    Srl,
+    Sra,
+    Sllv,
+    Srlv,
+    Srav,
+    Jr,
+    Jalr,
+    Break,
+    Mfhi,
+    Mflo,
+    Mult,
+    Multu,
+    Div,
+    Divu,
+    Addu,
+    Subu,
+    And,
+    Or,
+    Xor,
+    Nor,
+    Slt,
+    Sltu,
+    Bltz,
+    Bgez,
+    J,
+    Jal,
+    Beq,
+    Bne,
+    Blez,
+    Bgtz,
+    Addiu,
+    Slti,
+    Sltiu,
+    Andi,
+    Ori,
+    Xori,
+    Lui,
+    Lb,
+    Lh,
+    Lw,
+    Lbu,
+    Lhu,
+    Sb,
+    Sh,
+    Sw,
+    /// A reserved or unsupported encoding; `imm` holds the raw word.
+    Unsupported,
+}
+
+/// One instruction word, decoded: what [`Bus32::fetch`] returns and the
+/// core executes. Decoding never fails — a reserved or unsupported
+/// encoding decodes to a form that panics when executed, not before.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Decoded {
+    op: Op,
+    /// Destination register: `rd` for R-type words, `rt` for I-type.
+    d: u8,
+    /// `rs`.
+    s: u8,
+    /// `rt`.
+    t: u8,
+    /// The operand, extended once: a sign- or zero-extended immediate
+    /// (as the operation reads it), `lui`'s shifted half, a shift
+    /// amount, a branch offset in bytes, or a jump's 28-bit target.
+    imm: u32,
+}
+
+impl Decoded {
+    /// Decodes one instruction word.
+    pub fn new(word: u32) -> Decoded {
+        let rs = ((word >> 21) & 31) as u8;
+        let rt = ((word >> 16) & 31) as u8;
+        let rd = ((word >> 11) & 31) as u8;
+        let shamt = (word >> 6) & 31;
+        let zimm = word & 0xFFFF;
+        let simm = zimm as u16 as i16 as i32 as u32;
+        let offset = simm << 2;
+        let r = |op, imm| Decoded {
+            op,
+            d: rd,
+            s: rs,
+            t: rt,
+            imm,
+        };
+        let i = |op, imm| Decoded {
+            op,
+            d: rt,
+            s: rs,
+            t: rt,
+            imm,
+        };
+        let unsupported = Decoded {
+            op: Op::Unsupported,
+            d: 0,
+            s: 0,
+            t: 0,
+            imm: word,
+        };
+        match word >> 26 {
+            0 => match word & 63 {
+                0x00 => r(Op::Sll, shamt),
+                0x02 => r(Op::Srl, shamt),
+                0x03 => r(Op::Sra, shamt),
+                0x04 => r(Op::Sllv, 0),
+                0x06 => r(Op::Srlv, 0),
+                0x07 => r(Op::Srav, 0),
+                0x08 => r(Op::Jr, 0),
+                0x09 => r(Op::Jalr, 0),
+                0x0D => r(Op::Break, 0),
+                0x10 => r(Op::Mfhi, 0),
+                0x12 => r(Op::Mflo, 0),
+                0x18 => r(Op::Mult, 0),
+                0x19 => r(Op::Multu, 0),
+                0x1A => r(Op::Div, 0),
+                0x1B => r(Op::Divu, 0),
+                0x20 | 0x21 => r(Op::Addu, 0),
+                0x22 | 0x23 => r(Op::Subu, 0),
+                0x24 => r(Op::And, 0),
+                0x25 => r(Op::Or, 0),
+                0x26 => r(Op::Xor, 0),
+                0x27 => r(Op::Nor, 0),
+                0x2A => r(Op::Slt, 0),
+                0x2B => r(Op::Sltu, 0),
+                _ => unsupported,
+            },
+            0x01 => match rt {
+                0 => i(Op::Bltz, offset),
+                1 => i(Op::Bgez, offset),
+                _ => unsupported,
+            },
+            0x02 => i(Op::J, (word & 0x03FF_FFFF) << 2),
+            0x03 => i(Op::Jal, (word & 0x03FF_FFFF) << 2),
+            0x04 => i(Op::Beq, offset),
+            0x05 => i(Op::Bne, offset),
+            0x06 => i(Op::Blez, offset),
+            0x07 => i(Op::Bgtz, offset),
+            0x08 | 0x09 => i(Op::Addiu, simm),
+            0x0A => i(Op::Slti, simm),
+            0x0B => i(Op::Sltiu, simm),
+            0x0C => i(Op::Andi, zimm),
+            0x0D => i(Op::Ori, zimm),
+            0x0E => i(Op::Xori, zimm),
+            0x0F => i(Op::Lui, zimm << 16),
+            0x20 => i(Op::Lb, simm),
+            0x21 => i(Op::Lh, simm),
+            0x23 => i(Op::Lw, simm),
+            0x24 => i(Op::Lbu, simm),
+            0x25 => i(Op::Lhu, simm),
+            0x28 => i(Op::Sb, simm),
+            0x29 => i(Op::Sh, simm),
+            0x2B => i(Op::Sw, simm),
+            _ => unsupported,
+        }
+    }
+}
+
+/// Panics with the message for an unsupported `word` at `pc`.
+#[cold]
+#[inline(never)]
+fn unsupported(word: u32, pc: u32) -> ! {
+    match word >> 26 {
+        0 => panic!("unsupported R-type funct {:#x} at pc {pc:#010x}", word & 63),
+        0x01 => panic!(
+            "unsupported REGIMM rt {} at pc {pc:#010x}",
+            (word >> 16) & 31
+        ),
+        op => panic!("unsupported opcode {op:#x} at pc {pc:#010x}"),
+    }
+}
+
 /// The architectural state of the core.
 #[derive(Debug, Clone)]
 pub struct CpuCore {
-    /// General-purpose registers; `r[0]` reads as zero.
+    /// General-purpose registers; `r[0]` is zero between instructions.
     regs: [u32; 32],
     /// Program counter (byte address of the next instruction).
     pub pc: u32,
@@ -66,6 +257,26 @@ pub struct CpuCore {
 impl Default for CpuCore {
     fn default() -> Self {
         CpuCore::new()
+    }
+}
+
+/// A [`CpuCore::run_cycles`] burst in progress: the pc, the retired
+/// count and the cycles spent live here, in registers, and are written
+/// back to the core and the debt when the burst ends, by return or by
+/// panic.
+struct Burst<'a> {
+    cpu: &'a mut CpuCore,
+    debt: &'a mut f64,
+    pc: u32,
+    retired: u64,
+    spent: u64,
+}
+
+impl Drop for Burst<'_> {
+    fn drop(&mut self) {
+        self.cpu.pc = self.pc;
+        self.cpu.retired = self.retired;
+        *self.debt -= self.spent as f64;
     }
 }
 
@@ -116,185 +327,199 @@ impl CpuCore {
     /// and address — in a virtual platform that is always a firmware or
     /// toolchain bug worth failing loudly on.
     pub fn step(&mut self, bus: &mut impl Bus32) {
-        if self.halted {
-            return;
+        if !self.halted {
+            let instr = bus.fetch(self.pc);
+            self.pc = self.execute(self.pc, instr, bus);
+            self.retired += 1;
         }
-        let instr = bus.read32(self.pc);
-        let next_pc = self.pc.wrapping_add(4);
-        let op = instr >> 26;
-        let rs = ((instr >> 21) & 31) as usize;
-        let rt = ((instr >> 16) & 31) as usize;
-        let rd = ((instr >> 11) & 31) as usize;
-        let shamt = (instr >> 6) & 31;
-        let funct = instr & 63;
-        let imm = instr & 0xFFFF;
-        let simm = imm as u16 as i16 as i32;
-        let branch_target = |pc: u32| pc.wrapping_add(4).wrapping_add((simm << 2) as u32);
+    }
 
-        let mut new_pc = next_pc;
-        match op {
-            0 => match funct {
-                0x00 => self.set_reg(rd, self.reg(rt) << shamt), // sll
-                0x02 => self.set_reg(rd, self.reg(rt) >> shamt), // srl
-                0x03 => self.set_reg(rd, ((self.reg(rt) as i32) >> shamt) as u32), // sra
-                0x04 => self.set_reg(rd, self.reg(rt) << (self.reg(rs) & 31)), // sllv
-                0x06 => self.set_reg(rd, self.reg(rt) >> (self.reg(rs) & 31)), // srlv
-                0x07 => {
-                    // srav
-                    self.set_reg(rd, ((self.reg(rt) as i32) >> (self.reg(rs) & 31)) as u32)
-                }
-                0x08 => new_pc = self.reg(rs), // jr
-                0x09 => {
-                    // jalr
-                    self.set_reg(rd, next_pc);
-                    new_pc = self.reg(rs);
-                }
-                0x0D => self.halted = true,        // break
-                0x10 => self.set_reg(rd, self.hi), // mfhi
-                0x12 => self.set_reg(rd, self.lo), // mflo
-                0x18 => {
-                    // mult
-                    let p = i64::from(self.reg(rs) as i32) * i64::from(self.reg(rt) as i32);
-                    self.lo = p as u32;
-                    self.hi = (p >> 32) as u32;
-                }
-                0x19 => {
-                    // multu
-                    let p = u64::from(self.reg(rs)) * u64::from(self.reg(rt));
-                    self.lo = p as u32;
-                    self.hi = (p >> 32) as u32;
-                }
-                0x1A => {
-                    // div (division by zero leaves hi/lo unchanged, as on
-                    // real MIPS the result is unpredictable)
-                    let (a, b) = (self.reg(rs) as i32, self.reg(rt) as i32);
-                    if b != 0 {
-                        self.lo = (a.wrapping_div(b)) as u32;
-                        self.hi = (a.wrapping_rem(b)) as u32;
-                    }
-                }
-                0x1B => {
-                    // divu
-                    let (a, b) = (self.reg(rs), self.reg(rt));
-                    if let (Some(q), Some(r)) = (a.checked_div(b), a.checked_rem(b)) {
-                        self.lo = q;
-                        self.hi = r;
-                    }
-                }
-                0x20 | 0x21 => {
-                    // add/addu (no overflow trap modeled)
-                    self.set_reg(rd, self.reg(rs).wrapping_add(self.reg(rt)))
-                }
-                0x22 | 0x23 => {
-                    // sub/subu
-                    self.set_reg(rd, self.reg(rs).wrapping_sub(self.reg(rt)))
-                }
-                0x24 => self.set_reg(rd, self.reg(rs) & self.reg(rt)), // and
-                0x25 => self.set_reg(rd, self.reg(rs) | self.reg(rt)), // or
-                0x26 => self.set_reg(rd, self.reg(rs) ^ self.reg(rt)), // xor
-                0x27 => self.set_reg(rd, !(self.reg(rs) | self.reg(rt))), // nor
-                0x2A => {
-                    // slt
-                    self.set_reg(rd, u32::from((self.reg(rs) as i32) < (self.reg(rt) as i32)))
-                }
-                0x2B => self.set_reg(rd, u32::from(self.reg(rs) < self.reg(rt))), // sltu
-                other => panic!(
-                    "unsupported R-type funct {other:#x} at pc {:#010x}",
-                    self.pc
-                ),
-            },
-            0x01 => {
-                // REGIMM: bltz (rt=0) / bgez (rt=1)
-                let taken = match rt {
-                    0 => (self.reg(rs) as i32) < 0,
-                    1 => (self.reg(rs) as i32) >= 0,
-                    other => panic!("unsupported REGIMM rt {other} at pc {:#010x}", self.pc),
-                };
-                if taken {
-                    new_pc = branch_target(self.pc);
-                }
-            }
-            0x02 => new_pc = (next_pc & 0xF000_0000) | ((instr & 0x03FF_FFFF) << 2), // j
-            0x03 => {
-                // jal
-                self.set_reg(31, next_pc);
-                new_pc = (next_pc & 0xF000_0000) | ((instr & 0x03FF_FFFF) << 2);
-            }
-            0x04 => {
-                // beq
-                if self.reg(rs) == self.reg(rt) {
-                    new_pc = branch_target(self.pc);
-                }
-            }
-            0x05 => {
-                // bne
-                if self.reg(rs) != self.reg(rt) {
-                    new_pc = branch_target(self.pc);
-                }
-            }
-            0x06 => {
-                // blez
-                if (self.reg(rs) as i32) <= 0 {
-                    new_pc = branch_target(self.pc);
-                }
-            }
-            0x07 => {
-                // bgtz
-                if (self.reg(rs) as i32) > 0 {
-                    new_pc = branch_target(self.pc);
-                }
-            }
-            0x08 | 0x09 => {
-                // addi/addiu
-                self.set_reg(rt, self.reg(rs).wrapping_add(simm as u32))
-            }
-            0x0A => self.set_reg(rt, u32::from((self.reg(rs) as i32) < simm)), // slti
-            0x0B => self.set_reg(rt, u32::from(self.reg(rs) < simm as u32)),   // sltiu
-            0x0C => self.set_reg(rt, self.reg(rs) & imm),                      // andi
-            0x0D => self.set_reg(rt, self.reg(rs) | imm),                      // ori
-            0x0E => self.set_reg(rt, self.reg(rs) ^ imm),                      // xori
-            0x0F => self.set_reg(rt, imm << 16),                               // lui
-            0x20 => {
-                // lb
-                let v = bus.read8(self.reg(rs).wrapping_add(simm as u32));
-                self.set_reg(rt, v as i8 as i32 as u32);
-            }
-            0x21 => {
-                // lh
-                let v = bus.read16(self.reg(rs).wrapping_add(simm as u32));
-                self.set_reg(rt, v as i16 as i32 as u32);
-            }
-            0x23 => {
-                // lw
-                let v = bus.read32(self.reg(rs).wrapping_add(simm as u32));
-                self.set_reg(rt, v);
-            }
-            0x24 => {
-                // lbu
-                let v = bus.read8(self.reg(rs).wrapping_add(simm as u32));
-                self.set_reg(rt, u32::from(v));
-            }
-            0x25 => {
-                // lhu
-                let v = bus.read16(self.reg(rs).wrapping_add(simm as u32));
-                self.set_reg(rt, u32::from(v));
-            }
-            0x28 => {
-                // sb
-                bus.write8(self.reg(rs).wrapping_add(simm as u32), self.reg(rt) as u8)
-            }
-            0x29 => {
-                // sh
-                bus.write16(self.reg(rs).wrapping_add(simm as u32), self.reg(rt) as u16)
-            }
-            0x2B => {
-                // sw
-                bus.write32(self.reg(rs).wrapping_add(simm as u32), self.reg(rt))
-            }
-            other => panic!("unsupported opcode {other:#x} at pc {:#010x}", self.pc),
+    /// Runs the whole cycles of `debt` — one instruction per cycle — and
+    /// leaves the fraction in `debt`: exactly what
+    ///
+    /// ```text
+    /// while *debt >= 1.0 {
+    ///     *debt -= 1.0;
+    ///     if self.halted() { break; }
+    ///     self.step(bus);
+    /// }
+    /// ```
+    ///
+    /// does, remaining debt bit for bit included, without carrying the
+    /// floating-point subtraction through every instruction. As in that
+    /// loop, a halted core spends one cycle of a burst and no more, so a
+    /// halt before the burst's last cycle costs one extra cycle.
+    ///
+    /// The burst is `n = ⌊debt⌋` cycles, counted in integers; `debt − k`
+    /// is exact for every integer `k ≤ n < 2⁵³`, so one subtraction at
+    /// the end leaves what `k` subtractions of 1.0 would.
+    ///
+    /// # Panics
+    ///
+    /// As [`step`](CpuCore::step). The core and `debt` are then left as
+    /// that loop leaves them: the faulting instruction is not retired,
+    /// and its cycle is spent.
+    pub fn run_cycles(&mut self, bus: &mut impl Bus32, debt: &mut f64) {
+        let n = *debt as u64;
+        let mut burst = Burst {
+            pc: self.pc,
+            retired: self.retired,
+            spent: 0,
+            cpu: self,
+            debt,
+        };
+        while burst.spent < n && !burst.cpu.halted {
+            burst.spent += 1;
+            let instr = bus.fetch(burst.pc);
+            burst.pc = burst.cpu.execute(burst.pc, instr, bus);
+            burst.retired += 1;
         }
-        self.pc = new_pc;
-        self.retired += 1;
+        if burst.spent < n {
+            // Halted: the burst spends one more cycle and stops.
+            burst.spent += 1;
+        }
+    }
+
+    /// A load/store's effective address.
+    fn ea(&self, i: Decoded) -> u32 {
+        self.r(i.s).wrapping_add(i.imm)
+    }
+
+    fn r(&self, i: u8) -> u32 {
+        self.regs[usize::from(i) & 31]
+    }
+
+    /// Writes register `i`; a write to `$0` is undone at once, so every
+    /// read sees `$0` as zero without a branch.
+    fn w(&mut self, i: u8, v: u32) {
+        self.regs[usize::from(i) & 31] = v;
+        self.regs[0] = 0;
+    }
+
+    /// Executes `i`, fetched at `pc`, and returns the next pc; the caller
+    /// stores it and counts the instruction retired.
+    #[inline(always)]
+    fn execute(&mut self, pc: u32, i: Decoded, bus: &mut impl Bus32) -> u32 {
+        let next_pc = pc.wrapping_add(4);
+        let mut new_pc = next_pc;
+        match i.op {
+            Op::Sll => self.w(i.d, self.r(i.t) << i.imm),
+            Op::Srl => self.w(i.d, self.r(i.t) >> i.imm),
+            Op::Sra => self.w(i.d, ((self.r(i.t) as i32) >> i.imm) as u32),
+            Op::Sllv => self.w(i.d, self.r(i.t) << (self.r(i.s) & 31)),
+            Op::Srlv => self.w(i.d, self.r(i.t) >> (self.r(i.s) & 31)),
+            Op::Srav => self.w(i.d, ((self.r(i.t) as i32) >> (self.r(i.s) & 31)) as u32),
+            Op::Jr => new_pc = self.r(i.s),
+            Op::Jalr => {
+                // Link first: with rd == rs the jump lands on the link.
+                self.w(i.d, next_pc);
+                new_pc = self.r(i.s);
+            }
+            Op::Break => self.halted = true,
+            Op::Mfhi => self.w(i.d, self.hi),
+            Op::Mflo => self.w(i.d, self.lo),
+            Op::Mult => {
+                let p = i64::from(self.r(i.s) as i32) * i64::from(self.r(i.t) as i32);
+                self.lo = p as u32;
+                self.hi = (p >> 32) as u32;
+            }
+            Op::Multu => {
+                let p = u64::from(self.r(i.s)) * u64::from(self.r(i.t));
+                self.lo = p as u32;
+                self.hi = (p >> 32) as u32;
+            }
+            Op::Div => {
+                // Division by zero leaves hi/lo unchanged: on real MIPS
+                // the result is unpredictable.
+                let (a, b) = (self.r(i.s) as i32, self.r(i.t) as i32);
+                if b != 0 {
+                    self.lo = a.wrapping_div(b) as u32;
+                    self.hi = a.wrapping_rem(b) as u32;
+                }
+            }
+            Op::Divu => {
+                let (a, b) = (self.r(i.s), self.r(i.t));
+                if let (Some(q), Some(r)) = (a.checked_div(b), a.checked_rem(b)) {
+                    self.lo = q;
+                    self.hi = r;
+                }
+            }
+            Op::Addu => self.w(i.d, self.r(i.s).wrapping_add(self.r(i.t))),
+            Op::Subu => self.w(i.d, self.r(i.s).wrapping_sub(self.r(i.t))),
+            Op::And => self.w(i.d, self.r(i.s) & self.r(i.t)),
+            Op::Or => self.w(i.d, self.r(i.s) | self.r(i.t)),
+            Op::Xor => self.w(i.d, self.r(i.s) ^ self.r(i.t)),
+            Op::Nor => self.w(i.d, !(self.r(i.s) | self.r(i.t))),
+            Op::Slt => self.w(i.d, u32::from((self.r(i.s) as i32) < (self.r(i.t) as i32))),
+            Op::Sltu => self.w(i.d, u32::from(self.r(i.s) < self.r(i.t))),
+            Op::Bltz => {
+                if (self.r(i.s) as i32) < 0 {
+                    new_pc = next_pc.wrapping_add(i.imm);
+                }
+            }
+            Op::Bgez => {
+                if (self.r(i.s) as i32) >= 0 {
+                    new_pc = next_pc.wrapping_add(i.imm);
+                }
+            }
+            Op::J => new_pc = (next_pc & 0xF000_0000) | i.imm,
+            Op::Jal => {
+                self.w(31, next_pc);
+                new_pc = (next_pc & 0xF000_0000) | i.imm;
+            }
+            Op::Beq => {
+                if self.r(i.s) == self.r(i.t) {
+                    new_pc = next_pc.wrapping_add(i.imm);
+                }
+            }
+            Op::Bne => {
+                if self.r(i.s) != self.r(i.t) {
+                    new_pc = next_pc.wrapping_add(i.imm);
+                }
+            }
+            Op::Blez => {
+                if (self.r(i.s) as i32) <= 0 {
+                    new_pc = next_pc.wrapping_add(i.imm);
+                }
+            }
+            Op::Bgtz => {
+                if (self.r(i.s) as i32) > 0 {
+                    new_pc = next_pc.wrapping_add(i.imm);
+                }
+            }
+            Op::Addiu => self.w(i.d, self.r(i.s).wrapping_add(i.imm)),
+            Op::Slti => self.w(i.d, u32::from((self.r(i.s) as i32) < i.imm as i32)),
+            Op::Sltiu => self.w(i.d, u32::from(self.r(i.s) < i.imm)),
+            Op::Andi => self.w(i.d, self.r(i.s) & i.imm),
+            Op::Ori => self.w(i.d, self.r(i.s) | i.imm),
+            Op::Xori => self.w(i.d, self.r(i.s) ^ i.imm),
+            Op::Lui => self.w(i.d, i.imm),
+            Op::Lb => {
+                let v = bus.read8(self.ea(i));
+                self.w(i.d, v as i8 as i32 as u32);
+            }
+            Op::Lh => {
+                let v = bus.read16(self.ea(i));
+                self.w(i.d, v as i16 as i32 as u32);
+            }
+            Op::Lw => {
+                let v = bus.read32(self.ea(i));
+                self.w(i.d, v);
+            }
+            Op::Lbu => {
+                let v = bus.read8(self.ea(i));
+                self.w(i.d, u32::from(v));
+            }
+            Op::Lhu => {
+                let v = bus.read16(self.ea(i));
+                self.w(i.d, u32::from(v));
+            }
+            Op::Sb => bus.write8(self.ea(i), self.r(i.t) as u8),
+            Op::Sh => bus.write16(self.ea(i), self.r(i.t) as u16),
+            Op::Sw => bus.write32(self.ea(i), self.r(i.t)),
+            Op::Unsupported => unsupported(i.imm, pc),
+        }
+        new_pc
     }
 }
 
@@ -373,6 +598,21 @@ mod tests {
         assert_eq!(cpu.reg(10), 0xF);
         assert_eq!(cpu.reg(12) as i32, -4);
         assert_eq!(cpu.reg(13), 0x1234_5678);
+    }
+
+    #[test]
+    fn li_loads_every_value_exactly() {
+        let values: [i64; 7] = [0x7FFF, 0x8000, 40000, 0xFFFF, 0x10000, -1, -32768];
+        let src: String = values
+            .iter()
+            .enumerate()
+            .map(|(k, v)| format!("li ${}, {v}\n", 8 + k))
+            .chain(["break".to_string()])
+            .collect();
+        let (cpu, _) = run(&src, 64);
+        for (k, &v) in values.iter().enumerate() {
+            assert_eq!(cpu.reg(8 + k), v as u32, "li {v}");
+        }
     }
 
     #[test]

@@ -1,5 +1,5 @@
 //! Reference firmware for the platform experiments, and the shared
-//! decoded-image handle fleets load into every device.
+//! image handle fleets load into every device.
 
 use std::ops::Deref;
 use std::sync::Arc;
@@ -10,9 +10,10 @@ use crate::asm::assemble;
 ///
 /// Wraps the instruction words in an `Arc<[u32]>` the way
 /// [`amsim::CompiledModel`] shares analog bytecode: a fleet assembles
-/// (or decodes) the image **once** and every device's bus loads from the
-/// same allocation — cloning a `Firmware` is a reference-count bump, not
-/// a copy of the image.
+/// the image **once** and every device's bus loads from the same
+/// allocation — cloning a `Firmware` is a reference-count bump, not a
+/// copy of the image. Each device's [`PlatformBus`](crate::PlatformBus)
+/// then decodes the words it loaded into its own fetch mirror.
 #[derive(Debug, Clone)]
 pub struct Firmware(Arc<[u32]>);
 

@@ -55,7 +55,7 @@ use de::SimTime;
 use obs::{Obs, Report};
 use sweep::{panic_message, OutcomeTally, ScenarioBudget, ScenarioOutcome, SweepEngine};
 
-use crate::bus::{new_bridge, PlatformBus, SharedBridge, SharedUart};
+use crate::bus::{input_sample, new_bridge, publish, PlatformBus, SharedBridge, SharedUart};
 use crate::cpu::CpuCore;
 use crate::firmware::Firmware;
 use crate::platform::PlatformReport;
@@ -346,17 +346,11 @@ fn run_device_block(
             let dev = &mut devs[l];
             match catch_unwind(AssertUnwindSafe(|| {
                 // Bit-for-bit the fast platform's interleaving:
-                // fractional cycle accounting, halted CPU keeps its
-                // debt, stimulus sampled at t = k·dt.
+                // fractional cycle accounting, stimulus sampled at
+                // t = k·dt.
                 dev.cycle_debt += cycles_per_analog;
-                while dev.cycle_debt >= 1.0 {
-                    dev.cycle_debt -= 1.0;
-                    if dev.cpu.halted() {
-                        break;
-                    }
-                    dev.cpu.step(&mut dev.bus);
-                }
-                d.stim.value(k as f64 * dt) + dev.bridge.borrow().dac
+                dev.cpu.run_cycles(&mut dev.bus, &mut dev.cycle_debt);
+                input_sample(&*d.stim, k as f64 * dt, &dev.bridge)
             })) {
                 Ok(u) => inputs.broadcast(l, u),
                 Err(payload) => {
@@ -389,11 +383,7 @@ fn run_device_block(
             if k < d.steps && fault[l].is_none() && batch.lane_active(l) {
                 let y = batch.output(0, l);
                 let dev = &mut devs[l];
-                {
-                    let mut b = dev.bridge.borrow_mut();
-                    b.aout = y;
-                    b.samples = b.samples.wrapping_add(1);
-                }
+                publish(&dev.bridge, y);
                 dev.waveform.push(y);
             }
         }

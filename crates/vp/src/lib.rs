@@ -53,7 +53,7 @@ pub use bus::{
     SharedUart, ADC_COUNT, ADC_DATA, ANALOG_BASE, DAC_DATA, RAM_BASE, RAM_SIZE, UART_BASE,
     UART_STATUS, UART_TX,
 };
-pub use cpu::{Bus32, CpuCore};
+pub use cpu::{Bus32, CpuCore, Decoded};
 pub use firmware::{monitor_firmware, Firmware, MONITOR_FIRMWARE};
 pub use fleet::{run_fleet, DeviceOutcome, DeviceRun, DeviceScenario, FleetConfig, FleetOutcome};
 pub use platform::{

@@ -10,7 +10,7 @@ use de::{Kernel, ProcCtx, Process, SimTime};
 use eln::{ElnSolver, NodeId, SourceId};
 
 use crate::analog::{build_tdf_cluster, CompiledAnalog, CosimAnalog, ElnAnalog, TdfClusterProcess};
-use crate::bus::{new_bridge, PlatformBus, SharedUart};
+use crate::bus::{input_sample, new_bridge, publish, PlatformBus, SharedUart};
 use crate::cpu::CpuCore;
 
 /// Platform parameters shared by both builds, generic over the analog
@@ -279,22 +279,10 @@ where
 
     for k in 0..steps {
         cycle_debt += cycles_per_analog;
-        while cycle_debt >= 1.0 {
-            cycle_debt -= 1.0;
-            if cpu.halted() {
-                break;
-            }
-            cpu.step(&mut bus);
-        }
-        let t = k as f64 * dt;
-        let u = config.stimulus.value(t) + bridge.borrow().dac;
+        cpu.run_cycles(&mut bus, &mut cycle_debt);
+        let u = input_sample(&config.stimulus, k as f64 * dt, &bridge);
         inputs.iter_mut().for_each(|v| *v = u);
-        let y = model.step_sample(&inputs);
-        {
-            let mut b = bridge.borrow_mut();
-            b.aout = y;
-            b.samples = b.samples.wrapping_add(1);
-        }
+        publish(&bridge, model.step_sample(&inputs));
     }
 
     let b = bridge.borrow();
