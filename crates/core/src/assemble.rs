@@ -24,10 +24,6 @@
 //!   the paper reports — and yields the unconditionally stable fully
 //!   implicit update even for feedback circuits like the operational
 //!   amplifier of Figure 8.
-//!
-//! Setting the `AMSVP_DEBUG` environment variable makes the assembler
-//! print every completed definition and every backtracking rollback to
-//! stderr — the tool-side view of Figures 6/7 taking shape.
 
 use std::collections::HashMap;
 
@@ -311,12 +307,6 @@ impl Assembler<'_> {
             match self.build_rhs(q, &eq.rhs) {
                 Ok(rhs) => {
                     self.stack.pop();
-                    if std::env::var("AMSVP_DEBUG").is_ok() {
-                        eprintln!(
-                            "DEFINE {q} := {rhs}  [stack: {:?}]",
-                            self.stack.iter().map(|x| x.to_string()).collect::<Vec<_>>()
-                        );
-                    }
                     let refs_ancestor = {
                         let mut found = false;
                         rhs.visit_vars(&mut |v, delayed| {
@@ -340,9 +330,6 @@ impl Assembler<'_> {
                     return Err(Fail::Hard(e));
                 }
                 Err(Fail::Soft(e)) => {
-                    if std::env::var("AMSVP_DEBUG").is_ok() {
-                        eprintln!("ROLLBACK at {q}: {e}");
-                    }
                     self.rollback(snap);
                     last = e;
                 }

@@ -76,9 +76,6 @@ impl SignalFlowModel {
             e.visit_vars(&mut |v, _| {
                 max_delay.entry(v.clone()).or_insert(0);
             });
-            e.visit_vars(&mut |v, _| {
-                let _ = v;
-            });
         }
         for (_, e) in &assembly.assignments {
             collect_delays(e, &mut max_delay);

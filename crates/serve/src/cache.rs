@@ -2,9 +2,9 @@
 //!
 //! Jobs that submit the same module source with the same simulation
 //! settings share one [`CompiledModel`] — compilation (parse, lower,
-//! symbolic factorization) happens at most once per key, which the
-//! `serve_smoke` bench pins by asserting `amsim.jacobian.builds` stays
-//! at one across a resubmit. Compilation runs **under the cache lock**:
+//! symbolic factorization) happens at most once per key, which
+//! `tests/streaming.rs` pins by asserting `serve.cache.misses` stays at
+//! one across a resubmit. Compilation runs **under the cache lock**:
 //! that serializes concurrent first-compiles of different keys, but it
 //! is what guarantees the at-most-once property without a per-key
 //! in-flight map, and compiles are short relative to jobs.

@@ -13,7 +13,7 @@ use std::time::Duration;
 
 use amsvp_core::circuits::{rc_ladder, XorShift64};
 use amsvp_serve::http::Limits;
-use amsvp_serve::json::JsonBuf;
+use amsvp_serve::json::{self, Json, JsonBuf};
 use amsvp_serve::{ServeConfig, Server};
 
 fn test_server() -> Server {
@@ -316,6 +316,104 @@ fn hard_drain_ends_streams_with_a_typed_record() {
     // Hard drain never abandons the in-flight job's accounting.
     assert_eq!(report.counter("serve.jobs.accepted"), 1);
     assert_eq!(report.counter("serve.jobs.completed"), 1);
+}
+
+/// A job of `scenarios` × `steps` RC1 steps under seeded
+/// piecewise-constant stimuli, whose waveforms stream as ~19-byte floats.
+fn rc1_job(scenarios: u64, steps: u64) -> String {
+    let mut b = JsonBuf::new();
+    b.begin_obj()
+        .str_field("module", &rc_ladder(1))
+        .f64_field("dt", 1e-6)
+        .str_field("output", "V(out)");
+    b.begin_arr("scenarios");
+    for i in 0..scenarios {
+        b.begin_obj()
+            .str_field("name", &format!("s{i}"))
+            .u64_field("steps", steps)
+            .key("stim");
+        b.begin_obj()
+            .str_field("kind", "pwc")
+            .u64_field("seed", i + 1)
+            .u64_field("segments", 5)
+            .f64_field("hold", 5e-5)
+            .f64_field("lo", 0.0)
+            .f64_field("hi", 1.0)
+            .end_obj();
+        b.end_obj();
+    }
+    b.end_arr();
+    b.end_obj();
+    b.into_string()
+}
+
+/// Under a one-job cap, a submission while the slot is held bounces
+/// deterministically: `429`, a `Retry-After` header and a typed
+/// `job.rejected` body. The job holding the slot still streams to the
+/// end.
+#[test]
+fn submission_past_the_job_cap_gets_a_typed_429() {
+    let server = Server::start(ServeConfig {
+        max_jobs: 1,
+        ..ServeConfig::default()
+    })
+    .expect("server starts");
+
+    // The blocker's stream (~5 MB) outgrows what loopback sockets
+    // buffer (about 4 MB on a stock Linux kernel). Its client sends the
+    // job and reads nothing until the probe is answered, so the
+    // server's writes stall and the job keeps the slot at no CPU cost.
+    let blocker_body = rc1_job(32, 8192);
+    let mut blocker = TcpStream::connect(server.local_addr()).expect("connect");
+    blocker
+        .set_read_timeout(Some(Duration::from_secs(120)))
+        .unwrap();
+    write!(
+        blocker,
+        "POST /v1/jobs HTTP/1.1\r\nHost: t\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{blocker_body}",
+        blocker_body.len()
+    )
+    .expect("send blocker");
+
+    // Probe only once the blocker is in the slot: nothing else submits,
+    // so the first acceptance is the blocker's.
+    let deadline = std::time::Instant::now() + Duration::from_secs(30);
+    while !common::get(server.local_addr(), "/v1/stats")
+        .body
+        .contains("serve.jobs.accepted")
+    {
+        assert!(
+            std::time::Instant::now() < deadline,
+            "blocking job was never accepted"
+        );
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    let probe = common::post(server.local_addr(), "/v1/jobs", &rc1_job(1, 10));
+    assert_eq!(probe.status, 429, "{}", probe.body);
+    assert!(
+        probe.header("Retry-After").is_some(),
+        "429 must say when to retry"
+    );
+    let rejected = json::parse(probe.records()[0]).expect("429 body parses");
+    assert_eq!(
+        rejected.get("type").and_then(Json::as_str),
+        Some("job.rejected")
+    );
+
+    // Reading its stream releases the blocker, which runs to the end.
+    let held = common::read_response(&mut blocker);
+    assert_eq!(held.status, 200);
+    let done = json::parse(held.records().last().expect("blocker records")).unwrap();
+    assert_eq!(done.get("type").and_then(Json::as_str), Some("job.done"));
+    assert_eq!(done.get("ok").and_then(Json::as_u64), Some(32));
+
+    let report = server.shutdown();
+    assert_eq!(report.counter("serve.jobs.rejected"), 1);
+    assert_eq!(report.counter("serve.jobs.accepted"), 1);
+    assert_eq!(
+        report.counter("serve.jobs.completed"),
+        report.counter("serve.jobs.accepted")
+    );
 }
 
 /// Seeded fuzz: random mutations of a valid submission (byte flips,

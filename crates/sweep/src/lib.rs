@@ -6,10 +6,10 @@
 //! extraction, discretization, bytecode generation, symbolic Jacobian —
 //! costs far more than any single transient run, so repeating it per run
 //! would dominate a sweep. This crate exploits the model/instance split
-//! introduced in [`amsim`] and [`eln`]: one immutable, `Send + Sync`
-//! compiled model ([`amsim::CompiledModel`], [`eln::CompiledNet`]) is
-//! compiled **once**, wrapped in an [`Arc`], and shared by every worker;
-//! each scenario then pays only for a cheap per-run instance.
+//! introduced in [`amsim`]: one immutable, `Send + Sync` compiled model
+//! ([`amsim::CompiledModel`]) is compiled **once**, wrapped in an
+//! [`Arc`], and shared by every worker; each scenario then pays only for
+//! a cheap per-run instance.
 //!
 //! [`SweepEngine`] runs every sweep on one pool of scoped `std::thread`
 //! workers fed by one job queue (a pool of one works on the calling
@@ -64,7 +64,6 @@ use std::time::Instant;
 
 use amsim::{AmsError, BatchInstance, CompiledModel, Snapshot};
 use amsvp_core::circuits::Stimulus;
-use eln::{CompiledNet, ElnError, NodeId, SourceId};
 use obs::{Obs, Report};
 
 mod recovery;
@@ -172,7 +171,7 @@ impl Error for BudgetExceeded {}
 /// [`ScenarioCtx::tick`]'s error propagate with `?`.
 #[derive(Debug)]
 pub enum SweepFault<E> {
-    /// The domain solver failed (typed error from `amsim`/`eln`/...).
+    /// The domain solver failed (a typed error such as `amsim::AmsError`).
     Error(E),
     /// The per-scenario budget ran out.
     Budget(BudgetExceeded),
@@ -1721,68 +1720,6 @@ impl Driver<'_> {
     }
 }
 
-// --------------------------------------------------------- eln scenarios
-
-/// One ELN transient run: a stimulus on a chosen source, probed at one
-/// node.
-pub struct ElnScenario {
-    /// Scenario label, carried through to [`ElnRun::name`].
-    pub name: String,
-    /// Stimulus driving [`ElnSweepSpec::source`].
-    pub stim: Box<dyn Stimulus + Send + Sync>,
-    /// Number of fixed-dt transient steps.
-    pub steps: usize,
-}
-
-/// Which source an ELN sweep drives and which node it probes.
-#[derive(Debug, Clone, Copy)]
-pub struct ElnSweepSpec {
-    /// Source every scenario's stimulus is applied to.
-    pub source: SourceId,
-    /// Node whose voltage is sampled after every step.
-    pub probe: NodeId,
-}
-
-/// Result of one [`ElnScenario`].
-#[derive(Debug)]
-pub struct ElnRun {
-    /// The scenario label.
-    pub name: String,
-    /// Probe-node voltage after every step.
-    pub waveform: Vec<f64>,
-}
-
-/// Sweeps `scenarios` over one shared compiled ELN network, fault
-/// isolated like [`run_ams_sweep`]: a diverging, over-budget, or
-/// panicking scenario becomes a [`ScenarioOutcome`] record in its slot.
-///
-/// The MNA system is assembled and LU-factored once by the caller
-/// ([`eln::Transient::compile`]); each scenario only clones per-run state.
-pub fn run_eln_sweep(
-    engine: &SweepEngine,
-    net: &Arc<CompiledNet>,
-    spec: ElnSweepSpec,
-    scenarios: &[ElnScenario],
-    budget: &ScenarioBudget,
-) -> SweepOutcome<ScenarioOutcome<ElnRun, ElnError>> {
-    let dt = net.dt();
-    engine.run_isolated(scenarios, budget, move |ctx, sc| {
-        let mut solver = net.instance_with(ctx.obs.clone());
-        let mut waveform = Vec::with_capacity(sc.steps);
-        for k in 0..sc.steps {
-            ctx.tick(1)?;
-            solver.set_source(spec.source, sc.stim.value(k as f64 * dt));
-            solver.try_step().map_err(SweepFault::Error)?;
-            waveform.push(solver.node_voltage(spec.probe));
-        }
-        solver.flush_counters();
-        Ok(ElnRun {
-            name: sc.name.clone(),
-            waveform,
-        })
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -2048,58 +1985,6 @@ mod tests {
         }
         assert_eq!(out.report.counter("sweep.scenarios.budget"), 1);
         assert_eq!(out.report.counter("sweep.scenarios.ok"), 3);
-    }
-
-    #[test]
-    fn eln_sweep_isolates_divergence() {
-        let mut net = eln::ElnNetwork::new();
-        let a = net.node("a");
-        let out_node = net.node("out");
-        let v = net.vsource("vin", a, eln::ElnNetwork::GROUND);
-        net.resistor("r", a, out_node, 5e3);
-        net.capacitor("c", out_node, eln::ElnNetwork::GROUND, 25e-9);
-        let compiled = eln::Transient::new(&net).dt(1e-6).compile().unwrap();
-        struct NanAt(usize, usize);
-        impl Stimulus for NanAt {
-            fn value(&self, t: f64) -> f64 {
-                let k = (t / 1e-6).round() as usize;
-                if self.0 == 1 && k >= self.1 {
-                    f64::NAN
-                } else {
-                    1.0
-                }
-            }
-        }
-        let scenarios: Vec<ElnScenario> = (0..4)
-            .map(|i| ElnScenario {
-                name: format!("e{i}"),
-                stim: Box::new(NanAt(i, 3)),
-                steps: 8,
-            })
-            .collect();
-        let spec = ElnSweepSpec {
-            source: v,
-            probe: out_node,
-        };
-        let out = run_eln_sweep(
-            &SweepEngine::new().workers(2),
-            &compiled,
-            spec,
-            &scenarios,
-            &ScenarioBudget::unlimited(),
-        );
-        assert_eq!(out.report.counter("sweep.scenarios.ok"), 3);
-        assert_eq!(out.report.counter("sweep.scenarios.failed"), 1);
-        match &out.results[1] {
-            ScenarioOutcome::Failed {
-                error: ElnError::NonFiniteSolution { .. },
-                ..
-            } => {}
-            other => panic!("slot 1: want NonFiniteSolution, got {other:?}"),
-        }
-        for i in [0usize, 2, 3] {
-            assert_eq!(out.results[i].ok().expect("healthy").waveform.len(), 8);
-        }
     }
 
     #[test]

@@ -206,3 +206,30 @@ fn multiple_outputs_stay_consistent() {
         "I(r0) consistent with V(n1)"
     );
 }
+
+/// The Table I harness, run at a small size with a recording collector,
+/// feeds every counter the benchmarks are graded on: a harness change
+/// that stops reporting to its collector fails here.
+#[test]
+fn table1_harness_reports_every_graded_counter() {
+    let obs = obs::Obs::recording();
+    // 20 µs at Δt = 50 ns: 400 steps per circuit and level.
+    let rows = amsvp::bench::table1_rows_with(20e-6, 400, &obs);
+    assert!(!rows.is_empty(), "Table I produced no rows");
+
+    let report = obs.report().expect("recording collector reports");
+    for name in [
+        "amsim.newton_iterations",
+        "amsim.steps",
+        "amsim.jacobian.builds",
+        "amsim.lu.factorizations",
+        "amsim.jacobian.reuse_hits",
+        "eln.steps",
+    ] {
+        assert!(report.counter(name) > 0, "counter `{name}` missing or zero");
+    }
+    assert!(
+        report.counter("amsim.lu.factorizations") <= report.counter("amsim.newton_iterations"),
+        "more LU factorizations than Newton iterations"
+    );
+}

@@ -270,34 +270,54 @@ mod injected {
         assert_eq!(out.report.counter("sweep.scenarios.budget"), 1);
     }
 
-    /// Injected faults recover on the expected rung, the recovered
-    /// waveforms are bit-identical to from-`t=0` reruns on the rung's
-    /// configuration, and nothing depends on the schedule: workers
-    /// 1/2/8 × lane widths 1/8 all produce identical bits and counters.
-    #[test]
-    fn recovered_bit_identical_to_rung_config_from_t0_any_schedule() {
-        let model = compile_clamp(amsim::SolverKind::Auto);
-        let policy = RecoveryPolicy {
-            snapshot_every_n_steps: 8,
-            ..RecoveryPolicy::default()
-        };
-        let recovery = Recovery {
-            policy,
-            fallback: Some(compile_clamp(amsim::SolverKind::Dense)),
-            plan: plan(),
-            ..Recovery::default()
-        };
+    /// Eight faults over all four kinds, among them one at step 0 and one
+    /// at step 30: (scenario index, kind, nominal step). The four at or
+    /// past the first checkpoint recover on the resume rung, the four
+    /// before it on the restart rung.
+    const EIGHT_FAULTS: [(usize, FaultKind, u64); 8] = [
+        (1, FaultKind::ResidualNan, 13),
+        (7, FaultKind::RefactorSingular, 21),
+        (13, FaultKind::RefactorNonFinite, 17),
+        (19, FaultKind::ResidualNan, 30),
+        (2, FaultKind::RefactorNonFinite, 2),
+        (8, FaultKind::StimulusPanic, 5),
+        (14, FaultKind::ResidualNan, 0),
+        (20, FaultKind::RefactorSingular, 4),
+    ];
+    const EIGHT_RESUME_AT: [usize; 4] = [1, 7, 13, 19];
+    const EIGHT_RESTART_AT: [usize; 4] = [2, 8, 14, 20];
 
+    fn eight_fault_plan() -> FaultPlan {
+        EIGHT_FAULTS
+            .iter()
+            .fold(FaultPlan::new(), |plan, &(index, kind, step)| {
+                plan.target(index, FaultSpec { kind, step })
+            })
+    }
+
+    /// Runs `recovery` at workers 1/2/8 × lane widths 1/8 and checks what
+    /// holds for any plan: no index is lost, each planned fault recovers
+    /// on its rung bit-identical to the from-`t=0` rerun on that rung's
+    /// configuration, every other scenario is `Ok`, and neither the bits
+    /// nor the merged counters depend on the schedule. Returns the runs
+    /// as `(workers, lane width, outcome)` for the plan's own counters.
+    fn run_every_schedule(
+        model: &Arc<CompiledModel>,
+        recovery: &Recovery,
+        resume_at: &[usize],
+        restart_at: &[usize],
+    ) -> Vec<(usize, usize, ClampOutcome)> {
+        let policy = recovery.policy;
         let mut runs: Vec<(usize, usize, ClampOutcome)> = Vec::new();
         for w in [1usize, 2, 8] {
             for lanes in [1usize, 8] {
                 let out = run_ams_sweep_recovering(
                     &SweepEngine::new().workers(w),
-                    &model,
+                    model,
                     &healthy_scenarios(),
                     lanes,
                     &ScenarioBudget::unlimited(),
-                    &recovery,
+                    recovery,
                 )
                 .unwrap();
                 runs.push((w, lanes, out));
@@ -315,16 +335,16 @@ mod injected {
                         rung,
                         attempts,
                     } => {
-                        let want_rung = if RESUME_AT.contains(&i) {
+                        let want_rung = if resume_at.contains(&i) {
                             RecoveryRung::Resume
-                        } else if RESTART_AT.contains(&i) {
+                        } else if restart_at.contains(&i) {
                             RecoveryRung::Restart
                         } else {
                             panic!("{tag}: unexpected recovery at index {i}");
                         };
                         assert_eq!(*rung, want_rung, "{tag}: rung at index {i}");
                         assert_eq!(attempts.len(), 1, "{tag}: one-shot fault, one attempt");
-                        let reference = reference_run(&model, &scenarios[i], &policy);
+                        let reference = reference_run(model, &scenarios[i], &policy);
                         let got: Vec<u64> = result.waveform.iter().map(|v| v.to_bits()).collect();
                         assert_eq!(
                             got, reference,
@@ -333,21 +353,12 @@ mod injected {
                         );
                     }
                     ScenarioOutcome::Ok(_) => assert!(
-                        !RESUME_AT.contains(&i) && !RESTART_AT.contains(&i),
+                        !resume_at.contains(&i) && !restart_at.contains(&i),
                         "{tag}: index {i} should have faulted"
                     ),
                     other => panic!("{tag}: index {i}: unexpected outcome {other:?}"),
                 }
             }
-            assert_eq!(out.report.counter("sweep.scenarios.recovered"), 4);
-            assert_eq!(out.report.counter("sweep.scenarios.ok"), (N - 4) as u64);
-            assert_eq!(out.report.counter("recovery.recovered.resume"), 2);
-            assert_eq!(out.report.counter("recovery.recovered.restart"), 2);
-            assert_eq!(out.report.counter("recovery.gave_up"), 0);
-            assert_eq!(out.report.counter("fault.injected.residual_nan"), 1);
-            assert_eq!(out.report.counter("fault.injected.refactor_singular"), 1);
-            assert_eq!(out.report.counter("fault.injected.refactor_non_finite"), 1);
-            assert_eq!(out.report.counter("fault.injected.stimulus_panic"), 1);
         }
 
         // Scheduling independence: every (workers × lanes) combination
@@ -384,6 +395,76 @@ mod injected {
                     "{w} workers × {lane_width} lanes: merged counters schedule-dependent"
                 );
             }
+        }
+        runs
+    }
+
+    /// Injected faults recover on the expected rung, the recovered
+    /// waveforms are bit-identical to from-`t=0` reruns on the rung's
+    /// configuration, and nothing depends on the schedule: workers
+    /// 1/2/8 × lane widths 1/8 all produce identical bits and counters.
+    /// Two plans: four faults with the dense fallback on hand, and
+    /// eight with none, whose rung attempts must come out exact.
+    #[test]
+    fn recovered_bit_identical_to_rung_config_from_t0_any_schedule() {
+        let model = compile_clamp(amsim::SolverKind::Auto);
+        let policy = RecoveryPolicy {
+            snapshot_every_n_steps: 8,
+            ..RecoveryPolicy::default()
+        };
+        let recovery = Recovery {
+            policy,
+            fallback: Some(compile_clamp(amsim::SolverKind::Dense)),
+            plan: plan(),
+            ..Recovery::default()
+        };
+        for (_, _, out) in run_every_schedule(&model, &recovery, &RESUME_AT, &RESTART_AT) {
+            assert_eq!(out.report.counter("sweep.scenarios.recovered"), 4);
+            assert_eq!(out.report.counter("sweep.scenarios.ok"), (N - 4) as u64);
+            assert_eq!(out.report.counter("recovery.recovered.resume"), 2);
+            assert_eq!(out.report.counter("recovery.recovered.restart"), 2);
+            assert_eq!(out.report.counter("recovery.gave_up"), 0);
+            assert_eq!(out.report.counter("fault.injected.residual_nan"), 1);
+            assert_eq!(out.report.counter("fault.injected.refactor_singular"), 1);
+            assert_eq!(out.report.counter("fault.injected.refactor_non_finite"), 1);
+            assert_eq!(out.report.counter("fault.injected.stimulus_panic"), 1);
+        }
+
+        // No fallback: a fault the first two rungs did not absorb would
+        // fail its scenario instead of reaching a backend rung.
+        let recovery = Recovery {
+            policy,
+            plan: eight_fault_plan(),
+            ..Recovery::default()
+        };
+        for (w, lanes, out) in
+            run_every_schedule(&model, &recovery, &EIGHT_RESUME_AT, &EIGHT_RESTART_AT)
+        {
+            let tag = format!("{w} workers × {lanes} lanes");
+            for (key, want) in [
+                ("sweep.scenarios", N as u64),
+                ("sweep.scenarios.ok", (N - 8) as u64),
+                ("sweep.scenarios.recovered", 8),
+                ("sweep.scenarios.failed", 0),
+                ("sweep.scenarios.panicked", 0),
+                ("sweep.scenarios.budget", 0),
+                ("recovery.attempts.resume", 4),
+                ("recovery.recovered.resume", 4),
+                ("recovery.attempts.restart", 4),
+                ("recovery.recovered.restart", 4),
+                ("recovery.attempts.backend", 0),
+                ("recovery.gave_up", 0),
+                ("fault.injected.residual_nan", 3),
+                ("fault.injected.refactor_singular", 2),
+                ("fault.injected.refactor_non_finite", 2),
+                ("fault.injected.stimulus_panic", 1),
+            ] {
+                assert_eq!(out.report.counter(key), want, "{tag}: counter `{key}`");
+            }
+            let per_worker: u64 = (0..w)
+                .map(|i| out.report.counter(&format!("sweep.worker.{i}.scenarios")))
+                .sum();
+            assert_eq!(per_worker, N as u64, "{tag}: scenario conservation");
         }
     }
 }
