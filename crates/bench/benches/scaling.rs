@@ -1,6 +1,7 @@
 //! Complexity scaling of the methodology's steps (§IV: acquisition O(|B|),
-//! enrichment O(|N|²)+O(|N|³)+O(|B|²), assemble/solve O(|N|³)) and of the
-//! generated models, over RC ladders of growing depth.
+//! enrichment O(|N|²)+O(|N|³)+O(|B|²), assemble/solve O(|N|³)), of the whole
+//! `Abstraction::build`, and of the generated models, over RC ladders of
+//! growing depth.
 
 use amsvp_bench::microbench;
 use amsvp_core::acquire::acquire;
@@ -9,7 +10,7 @@ use amsvp_core::circuits::rc_ladder;
 use amsvp_core::enrich::enrich;
 use amsvp_core::{Abstraction, Quantity};
 
-const SIZES: [usize; 6] = [1, 2, 4, 8, 16, 32];
+const SIZES: [usize; 9] = [1, 2, 4, 8, 16, 32, 64, 128, 250];
 
 fn main() {
     for n in SIZES {
@@ -22,9 +23,13 @@ fn main() {
         microbench("scaling_pipeline", &format!("enrich/{n}"), || {
             enrich(&model).unwrap()
         });
+        let table = enrich(&model).unwrap();
         microbench("scaling_pipeline", &format!("assemble/{n}"), || {
-            let mut table = enrich(&model).unwrap();
+            let mut table = table.clone();
             assemble(&mut table, &[Quantity::node_v("out")], 50e-9).unwrap()
+        });
+        microbench("scaling_pipeline", &format!("build/{n}"), || {
+            Abstraction::new(&module).dt(50e-9).build().unwrap()
         });
     }
 

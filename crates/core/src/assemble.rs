@@ -1,35 +1,55 @@
 //! Step 3 — Assemble and solve (§IV-C, Algorithm 2 and Figure 6/7).
 //!
 //! Starting from each output of interest, the assembler recursively fetches
-//! one equation per dependency class, splices the chains into the defining
-//! expression, discretizes the analog operators (`ResolveDerivative`), and
-//! — when the output re-appears on its own right-hand side — solves the
-//! linear equation so that only explicitly delayed (`t − Δt`) occurrences
-//! remain, exactly as the paper's Figure 7 elaboration does.
+//! one equation per dependency class, substitutes the chains into the
+//! defining expression, discretizes the analog operators
+//! (`ResolveDerivative`), and — when the output re-appears on its own
+//! right-hand side — solves the linear equation so that only explicitly
+//! delayed (`t − Δt`) occurrences remain, exactly as the paper's Figure 7
+//! elaboration does.
 //!
-//! Two behaviours go beyond the paper's prose but are required for
-//! correctness on general topologies:
+//! Three behaviours go beyond the paper's prose but are required for
+//! correctness and scale on general topologies:
 //!
 //! * **Backtracking.** Algorithm 2 greedily takes "one equation of each
 //!   dependency set". A fixed fetch order can dead-end on meshed circuits
 //!   (every remaining class for some quantity already consumed), so the
 //!   assembler backtracks over the candidate classes until a consistent
 //!   matching is found.
-//! * **Inline chaining through algebraic loops.** When a quantity's spliced
-//!   definition still references an *ancestor* that is currently being
-//!   defined, the definition is embedded inline in the ancestor's tree
-//!   instead of becoming a standalone assignment. Each level solves its own
-//!   self-reference, which makes the overall elaboration an exact symbolic
-//!   Gaussian elimination — the O(|N|³) "solution of the linear equation"
-//!   the paper reports — and yields the unconditionally stable fully
-//!   implicit update even for feedback circuits like the operational
-//!   amplifier of Figure 8.
+//! * **Elimination through algebraic loops.** A quantity whose definition
+//!   still reads a quantity being defined further up (an *ancestor*)
+//!   completes *inline*: it gets no statement of its own yet, and each
+//!   ancestor solves its own self-reference once the chain below it is
+//!   substituted. This is an exact Gaussian elimination in the order of
+//!   definition — the "solution of the linear equation" the paper reports —
+//!   and yields the unconditionally stable fully implicit update even for
+//!   feedback circuits like the operational amplifier of Figure 8.
+//! * **Flat rows with named intermediates.** Every definition that is
+//!   affine after discretization is held as a flat constant-coefficient row
+//!   (see [`compact`](crate::compact)), never as a spliced tree. When a
+//!   quantity completes inline, the part of its row that can already be
+//!   computed (inputs, delayed values, assigned quantities, earlier
+//!   intermediates) becomes one named intermediate statement `__e{k}` in
+//!   the forward sequence, and the inline row keeps only its terms on
+//!   pending quantities plus that one symbol. A completed inline quantity
+//!   stays a symbol in later rows unless its definition reaches the pivot
+//!   being solved, decided from a cached list of the stack quantities it
+//!   depends on. A final pass back-substitutes the outputs, the delayed
+//!   states and the symbols they read, in dependency order, and folds
+//!   aliases and single-use rows into their readers. Each [`Assembly`]
+//!   statement thus carries only its row's fill — a tridiagonal RC ladder
+//!   costs a few terms per node — and no coefficient is ever pruned.
+//!
+//! Conditional and nonlinear definitions (calls, per-arm piecewise-linear
+//! solves) stay symbolic trees and are substituted whole where they reach
+//! the pivot.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 
 use expr::{solve_linear, Expr};
 use netlist::{ClassId, EquationTable, QExpr, Quantity};
 
+use crate::compact::{as_affine, as_affine_with, Affine};
 use crate::discretize::{discretize, AuxAllocator};
 use crate::AbstractError;
 
@@ -94,28 +114,66 @@ fn solve_self(q: &Quantity, rhs: &QExpr) -> Option<QExpr> {
 /// How algebraic couplings between in-progress quantities are resolved.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SolveMode {
-    /// Exact symbolic elimination: every in-progress coupling is spliced
-    /// inline and solved, yielding the fully implicit (backward-Euler)
-    /// update. Unconditionally stable, slightly larger expressions.
+    /// Exact elimination: every in-progress coupling is substituted and
+    /// solved, yielding the fully implicit (backward-Euler) update.
+    /// Unconditionally stable.
     #[default]
     Implicit,
     /// Literal reading of §IV-C: only occurrences of the *output of
     /// interest* on its own right-hand side are solved (Figure 7); every
     /// other in-progress coupling reads the value from the previous time
-    /// step ("already delayed by Δt"). Generated code stays O(chain
-    /// length), but the resulting scheme is semi-explicit: on stiff
-    /// multi-state circuits (RC2 and deeper at the paper's Δt = 50 ns)
-    /// the delayed couplings are numerically *unstable* — measured in this
-    /// repository's ablation experiments — which is why [`SolveMode::Implicit`]
-    /// is the default and the mode used for every reproduced table.
+    /// step ("already delayed by Δt"). The resulting scheme is
+    /// semi-explicit: on stiff multi-state circuits (RC2 and deeper at the
+    /// paper's Δt = 50 ns) the delayed couplings are numerically
+    /// *unstable* — measured in this repository's ablation experiments —
+    /// which is why [`SolveMode::Implicit`] is the default and the mode
+    /// used for every reproduced table.
     Sequential,
 }
 
+/// A completed definition: a flat affine row, or a symbolic tree for
+/// conditional and nonlinear right-hand sides.
+#[derive(Debug, Clone)]
+enum Def {
+    Row(Affine),
+    Tree(QExpr),
+}
+
+impl Def {
+    fn from_tree(e: QExpr) -> Def {
+        match as_affine(&e) {
+            Some(row) => Def::Row(row),
+            None => Def::Tree(e),
+        }
+    }
+
+    /// Visits every quantity leaf; `delayed` tells whether it is read at
+    /// an earlier step.
+    fn visit(&self, f: &mut impl FnMut(&Quantity, bool)) {
+        match self {
+            Def::Row(row) => row.terms.keys().for_each(|(v, d)| f(v, *d > 0)),
+            Def::Tree(e) => e.visit_vars(f),
+        }
+    }
+
+    fn into_expr(self) -> QExpr {
+        match self {
+            Def::Row(row) => row.into_expr(),
+            Def::Tree(e) => e,
+        }
+    }
+}
+
 enum Memo {
-    /// The quantity has a standalone assignment; references stay symbolic.
+    /// Being defined (on the stack); the value is its push serial.
+    Pending(usize),
+    /// The quantity has a statement in the forward sequence; references
+    /// stay symbolic.
     Assigned,
-    /// The definition is embedded in its ancestors; references clone it.
-    Inline(QExpr),
+    /// The definition reads quantities still being defined. `deps` caches
+    /// the push serials of the stack quantities it depends on, deepest
+    /// first.
+    Inline { def: Def, deps: Vec<usize> },
 }
 
 enum Undo {
@@ -133,9 +191,18 @@ enum Fail {
 struct Assembler<'t> {
     table: &'t mut EquationTable,
     dt: f64,
-    stack: Vec<Quantity>,
+    /// Push serials of the quantities being defined, outermost first.
+    stack: Vec<usize>,
+    /// The quantity pushed with each serial.
+    pushed: Vec<Quantity>,
     memo: HashMap<Quantity, Memo>,
-    assignments: Vec<(Quantity, QExpr)>,
+    /// Statements over inputs, delayed values and earlier statements only,
+    /// in evaluation order.
+    forward: Vec<(Quantity, Def)>,
+    intermediates: usize,
+    /// Expansions of inline quantities for the pivot being solved, so a
+    /// definition reached along several paths is expanded once.
+    expanded: HashMap<Quantity, Option<Affine>>,
     aux: AuxAllocator,
     undo: Vec<Undo>,
     attempts: usize,
@@ -155,7 +222,7 @@ struct Assembler<'t> {
 /// conflict-free in polynomial time — the greedy fetch with backtracking
 /// remains only as a fallback for exotic topologies.
 fn compute_matching(table: &EquationTable) -> HashMap<Quantity, ClassId> {
-    use std::collections::{BTreeMap, HashSet};
+    use std::collections::BTreeMap;
     let mut adj: BTreeMap<Quantity, Vec<ClassId>> = BTreeMap::new();
     for cls in table.class_ids() {
         for eq in table.class_members(cls) {
@@ -208,7 +275,8 @@ fn compute_matching(table: &EquationTable) -> HashMap<Quantity, ClassId> {
 /// * [`AbstractError::UndefinedOutput`] when an output has no defining
 ///   chain at all.
 /// * [`AbstractError::NoEquationFor`] / [`AbstractError::NonlinearLoop`]
-///   when no consistent matching exists.
+///   when no consistent matching exists; the error is the one the matched
+///   (first-tried) candidate failed with.
 /// * [`AbstractError::SearchBudgetExhausted`] on pathological topologies.
 pub fn assemble(
     table: &mut EquationTable,
@@ -237,8 +305,11 @@ pub fn assemble_with(
         table,
         dt,
         stack: Vec::new(),
+        pushed: Vec::new(),
         memo: HashMap::new(),
-        assignments: Vec::new(),
+        forward: Vec::new(),
+        intermediates: 0,
+        expanded: HashMap::new(),
         aux: AuxAllocator::new(),
         undo: Vec::new(),
         attempts: 0,
@@ -262,16 +333,38 @@ pub fn assemble_with(
             }
             Err(Fail::Soft(e)) | Err(Fail::Hard(e)) => return Err(e),
         }
-        // Outputs must be materialized even if their definition ended up
-        // inline (possible only through quantities shared between outputs).
-        asm.materialize(q);
     }
     asm.finalize(outputs.to_vec())
 }
 
+/// Rebuilds `e` with every current-value leaf replaced by `f`'s result.
+fn map_current(e: &QExpr, f: &mut impl FnMut(&Quantity) -> QExpr) -> QExpr {
+    match e {
+        Expr::Var(v) => f(v),
+        Expr::Num(_) | Expr::Prev(..) => e.clone(),
+        Expr::Neg(a) => -map_current(a, f),
+        Expr::Bin(op, a, b) => Expr::bin(*op, map_current(a, f), map_current(b, f)),
+        Expr::Call(func, args) => {
+            Expr::Call(*func, args.iter().map(|a| map_current(a, f)).collect())
+        }
+        Expr::Ddt(a) => Expr::ddt(map_current(a, f)),
+        Expr::Idt(a) => Expr::idt(map_current(a, f)),
+        Expr::Cond(c, t, el) => {
+            Expr::cond(map_current(c, f), map_current(t, f), map_current(el, f))
+        }
+    }
+}
+
+/// Orders a dependency list deepest (latest pushed) first, without
+/// duplicates.
+fn sort_deps(deps: &mut Vec<usize>) {
+    deps.sort_unstable_by(|a, b| b.cmp(a));
+    deps.dedup();
+}
+
 impl Assembler<'_> {
     fn define(&mut self, q: &Quantity) -> Result<(), Fail> {
-        if q.is_input() || self.memo.contains_key(q) || self.stack.contains(q) {
+        if q.is_input() || self.memo.contains_key(q) {
             return Ok(());
         }
         let mut candidates: Vec<(netlist::Equation, ClassId)> = self
@@ -291,56 +384,67 @@ impl Assembler<'_> {
                 quantity: q.clone(),
             }));
         }
-        self.stack.push(q.clone());
-        let mut last = AbstractError::NoEquationFor {
-            quantity: q.clone(),
-        };
+        self.push(q);
+        // The first-tried candidate's failure names the real cause; later
+        // fallbacks mostly fail for consuming classes the match needed.
+        let mut first_failure = None;
         for (eq, cls) in candidates {
             self.attempts += 1;
             if self.attempts > SEARCH_BUDGET {
-                self.stack.pop();
+                self.pop();
                 return Err(Fail::Hard(AbstractError::SearchBudgetExhausted));
             }
-            let snap = (self.undo.len(), self.assignments.len(), self.aux.len());
+            let snap = (self.undo.len(), self.forward.len(), self.aux.len());
             self.table.disable_class(cls);
             self.undo.push(Undo::Class(cls));
             match self.build_rhs(q, &eq.rhs) {
-                Ok(rhs) => {
-                    self.stack.pop();
-                    let refs_ancestor = {
-                        let mut found = false;
-                        rhs.visit_vars(&mut |v, delayed| {
-                            if !delayed && self.stack.contains(v) {
-                                found = true;
-                            }
-                        });
-                        found
-                    };
-                    if refs_ancestor {
-                        self.memo.insert(q.clone(), Memo::Inline(rhs));
-                    } else {
-                        self.assignments.push((q.clone(), rhs));
-                        self.memo.insert(q.clone(), Memo::Assigned);
-                    }
+                Ok(def) => {
+                    self.pop();
+                    self.complete(q, def);
                     self.undo.push(Undo::Memo(q.clone()));
                     return Ok(());
                 }
                 Err(Fail::Hard(e)) => {
-                    self.stack.pop();
+                    self.pop();
                     return Err(Fail::Hard(e));
                 }
                 Err(Fail::Soft(e)) => {
                     self.rollback(snap);
-                    last = e;
+                    first_failure.get_or_insert(e);
                 }
             }
         }
-        self.stack.pop();
-        Err(Fail::Soft(last))
+        self.pop();
+        Err(Fail::Soft(first_failure.expect("at least one candidate")))
+    }
+
+    fn push(&mut self, q: &Quantity) {
+        let serial = self.pushed.len();
+        self.pushed.push(q.clone());
+        self.stack.push(serial);
+        self.memo.insert(q.clone(), Memo::Pending(serial));
+    }
+
+    fn pop(&mut self) {
+        let serial = self.stack.pop().expect("balanced push/pop");
+        self.memo.remove(&self.pushed[serial]);
+    }
+
+    /// The push serial of `v` while it is being defined.
+    fn pending_serial(&self, v: &Quantity) -> Option<usize> {
+        match self.memo.get(v) {
+            Some(&Memo::Pending(s)) => Some(s),
+            _ => None,
+        }
+    }
+
+    /// Whether the quantity pushed with `serial` is still being defined.
+    fn live(&self, serial: usize) -> bool {
+        self.pending_serial(&self.pushed[serial]) == Some(serial)
     }
 
     fn rollback(&mut self, snap: (usize, usize, usize)) {
-        let (undo_len, asg_len, aux_len) = snap;
+        let (undo_len, forward_len, aux_len) = snap;
         while self.undo.len() > undo_len {
             match self.undo.pop().expect("length checked") {
                 Undo::Class(c) => self.table.enable_class(c),
@@ -349,180 +453,413 @@ impl Assembler<'_> {
                 }
             }
         }
-        self.assignments.truncate(asg_len);
+        self.forward.truncate(forward_len);
         self.aux.truncate(aux_len);
     }
 
-    /// Splices, discretizes, and solves one fetched right-hand side.
-    fn build_rhs(&mut self, q: &Quantity, rhs: &QExpr) -> Result<QExpr, Fail> {
-        let spliced = self.splice(rhs)?;
-        let disc = discretize(&spliced, self.dt, &mut self.aux).simplified();
-        // Derivative resolution distributes over embedded inline chains and
-        // can surface current references to quantities that completed as
-        // inline definitions since; a second splice resolves them.
-        let disc = self.splice(&disc)?;
-        let solved = solve_self(q, &disc).ok_or_else(|| {
+    /// Whether `v`'s current value is not computable yet: it is being
+    /// defined, or it completed inline.
+    fn is_pending(&self, v: &Quantity) -> bool {
+        matches!(
+            self.memo.get(v),
+            Some(Memo::Pending(_) | Memo::Inline { .. })
+        )
+    }
+
+    /// Defines every quantity `rhs` reads, substitutes, discretizes, and
+    /// solves for `q`.
+    fn build_rhs(&mut self, q: &Quantity, rhs: &QExpr) -> Result<Def, Fail> {
+        // Algorithm 2's recursion: define the operands in the order the
+        // equation reads them.
+        let mut operands = Vec::new();
+        rhs.visit_vars(&mut |v, delayed| {
+            if !delayed {
+                operands.push(v.clone());
+            }
+        });
+        for v in &operands {
+            self.define(v)?;
+        }
+        let rhs = match self.mode {
+            SolveMode::Implicit => rhs.clone(),
+            // Couplings to in-progress quantities other than the root
+            // output read the previous-step value (the paper's implicit Δt
+            // delay).
+            SolveMode::Sequential => {
+                let root = self.pushed[self.stack[0]].clone();
+                map_current(rhs, &mut |v| {
+                    if *v != root && v != q && self.pending_serial(v).is_some() {
+                        Expr::prev(v.clone())
+                    } else {
+                        Expr::var(v.clone())
+                    }
+                })
+            }
+        };
+        let disc = discretize(&rhs, self.dt, &mut self.aux).simplified();
+        let pivot = *self.stack.last().expect("q is on the stack");
+        self.expanded.clear();
+        let nonlinear = || {
             Fail::Soft(AbstractError::NonlinearLoop {
                 quantity: q.clone(),
             })
-        })?;
-        Ok(solved.simplified())
+        };
+        if let Some(mut row) = as_affine_with(&disc, &mut |v| self.affine_leaf(v, pivot)) {
+            let a = row.terms.remove(&(q.clone(), 0)).unwrap_or(0.0);
+            if a != 0.0 {
+                let k = 1.0 - a;
+                if k == 0.0 {
+                    return Err(nonlinear());
+                }
+                row = row.scale(1.0 / k);
+            }
+            row.terms.retain(|_, c| *c != 0.0);
+            return Ok(Def::Row(row));
+        }
+        let tree = map_current(&disc, &mut |v| self.substituted(v, pivot));
+        let solved = solve_self(q, &tree).ok_or_else(nonlinear)?;
+        Ok(Def::from_tree(solved.simplified()))
     }
 
-    /// Recursively replaces quantity leaves according to the memo table,
-    /// defining quantities on first encounter.
-    fn splice(&mut self, e: &QExpr) -> Result<QExpr, Fail> {
-        Ok(match e {
-            Expr::Num(_) | Expr::Prev(..) => e.clone(),
-            Expr::Var(v) => {
-                if v.is_input() {
-                    return Ok(e.clone());
-                }
-                if self.stack.contains(v) {
-                    // In sequential mode, couplings to in-progress
-                    // quantities other than the root output read the
-                    // previous-step value (the paper's implicit Δt delay).
-                    if self.mode == SolveMode::Sequential
-                        && self.stack.first() != Some(v)
-                        && self.stack.last() != Some(v)
-                    {
-                        return Ok(Expr::prev(v.clone()));
-                    }
-                    return Ok(e.clone());
-                }
-                if !self.memo.contains_key(v) {
-                    self.define(v)?;
-                }
-                match self.memo.get(v) {
-                    Some(Memo::Assigned) => e.clone(),
-                    // Inline definitions were solved in the context where
-                    // they were created; any symbols they carry for
-                    // quantities that have completed as inline since must
-                    // be substituted for the *current* context, so they are
-                    // re-spliced here.
-                    Some(Memo::Inline(x)) => {
-                        let x = x.clone();
-                        self.splice(&x)?
-                    }
-                    None => unreachable!("define() must memoize on success"),
+    /// Whether `w` completed inline and its value depends on the quantity
+    /// pushed with serial `pivot`, the top of the stack.
+    fn reaches(&mut self, w: &Quantity, pivot: usize) -> bool {
+        self.refresh(w);
+        matches!(self.memo.get(w), Some(Memo::Inline { deps, .. }) if deps.first() == Some(&pivot))
+    }
+
+    /// Brings `w`'s cached dependencies up to date. Every dependency is a
+    /// stack quantity, so when the deepest one is still on the stack, all
+    /// of them are. Otherwise each one that completed since is replaced by
+    /// its own dependencies (none when it was assigned), and the result is
+    /// cached again.
+    fn refresh(&mut self, w: &Quantity) {
+        let stale = match self.memo.get(w) {
+            Some(Memo::Inline { deps, .. }) if deps.first().is_some_and(|&s| !self.live(s)) => {
+                deps.clone()
+            }
+            _ => return,
+        };
+        let mut fresh = Vec::new();
+        for s in stale {
+            if self.live(s) {
+                fresh.push(s);
+            } else {
+                let d = self.pushed[s].clone();
+                fresh.extend(self.deps_of(&d));
+            }
+        }
+        sort_deps(&mut fresh);
+        if let Some(Memo::Inline { deps, .. }) = self.memo.get_mut(w) {
+            *deps = fresh;
+        }
+    }
+
+    /// Current dependencies of a completed quantity (empty when assigned).
+    fn deps_of(&mut self, w: &Quantity) -> Vec<usize> {
+        self.refresh(w);
+        match self.memo.get(w) {
+            Some(Memo::Inline { deps, .. }) => deps.clone(),
+            _ => Vec::new(),
+        }
+    }
+
+    /// Resolves a current-value leaf for the affine path: an inline
+    /// quantity that reaches the pivot is replaced by its expanded row.
+    /// `None` (non-affine) when that definition is a symbolic tree.
+    fn affine_leaf(&mut self, v: &Quantity, pivot: usize) -> Option<Affine> {
+        if self.reaches(v, pivot) {
+            self.expand(v, pivot)
+        } else {
+            Some(Affine::leaf((v.clone(), 0)))
+        }
+    }
+
+    /// The row of inline quantity `w` with every inline symbol that
+    /// reaches the pivot substituted, recursively.
+    fn expand(&mut self, w: &Quantity, pivot: usize) -> Option<Affine> {
+        if let Some(done) = self.expanded.get(w) {
+            return done.clone();
+        }
+        let row = match self.memo.get(w) {
+            Some(Memo::Inline {
+                def: Def::Row(row), ..
+            }) => Some(row.clone()),
+            _ => None,
+        };
+        let expanded = row.and_then(|row| {
+            let mut out = Affine::constant(row.constant);
+            for ((v, d), c) in row.terms {
+                if d == 0 && self.reaches(&v, pivot) {
+                    out.add_scaled(&self.expand(&v, pivot)?, c);
+                } else {
+                    *out.terms.entry((v, d)).or_insert(0.0) += c;
                 }
             }
-            Expr::Neg(a) => -self.splice(a)?,
-            Expr::Bin(op, a, b) => Expr::bin(*op, self.splice(a)?, self.splice(b)?),
-            Expr::Call(f, args) => Expr::Call(
-                *f,
-                args.iter()
-                    .map(|a| self.splice(a))
-                    .collect::<Result<_, _>>()?,
-            ),
-            Expr::Ddt(a) => Expr::ddt(self.splice(a)?),
-            Expr::Idt(a) => Expr::idt(self.splice(a)?),
-            Expr::Cond(c, t, el) => Expr::cond(self.splice(c)?, self.splice(t)?, self.splice(el)?),
-        })
+            Some(out)
+        });
+        self.expanded.insert(w.clone(), expanded.clone());
+        expanded
     }
 
-    /// Ensures `q` has a standalone assignment, materializing an inline
-    /// definition (with ancestors substituted) if necessary.
-    fn materialize(&mut self, q: &Quantity) {
-        if matches!(self.memo.get(q), Some(Memo::Assigned)) {
+    /// Resolves a current-value leaf for the symbolic path: an inline
+    /// quantity that reaches the pivot is replaced by its definition,
+    /// recursively.
+    fn substituted(&mut self, v: &Quantity, pivot: usize) -> QExpr {
+        if !self.reaches(v, pivot) {
+            return Expr::var(v.clone());
+        }
+        let def = match self.memo.get(v) {
+            Some(Memo::Inline { def, .. }) => def.clone(),
+            _ => unreachable!("checked above"),
+        };
+        let tree = match def {
+            Def::Row(row) => row.into_expr(),
+            Def::Tree(e) => e,
+        };
+        map_current(&tree, &mut |x| self.substituted(x, pivot))
+    }
+
+    /// Records `q`'s solved definition: a statement in the forward
+    /// sequence when it reads only computable values, inline otherwise.
+    fn complete(&mut self, q: &Quantity, def: Def) {
+        let mut pending = false;
+        def.visit(&mut |v, delayed| pending |= !delayed && self.is_pending(v));
+        if !pending {
+            self.forward.push((q.clone(), def));
+            self.memo.insert(q.clone(), Memo::Assigned);
             return;
         }
-        if let Some(Memo::Inline(x)) = self.memo.get(q) {
-            let resolved = self.resolve_inline(&x.clone());
-            self.assignments.push((q.clone(), resolved));
-            self.memo.insert(q.clone(), Memo::Assigned);
-        }
-    }
-
-    /// Substitutes remaining inline definitions (ancestor chains) inside an
-    /// expression; terminates because inline references strictly climb
-    /// ancestor chains toward assigned quantities.
-    fn resolve_inline(&self, e: &QExpr) -> QExpr {
-        match e {
-            Expr::Var(v) => match self.memo.get(v) {
-                Some(Memo::Inline(x)) => self.resolve_inline(x),
-                _ => e.clone(),
-            },
-            Expr::Num(_) | Expr::Prev(..) => e.clone(),
-            Expr::Neg(a) => -self.resolve_inline(a),
-            Expr::Bin(op, a, b) => Expr::bin(*op, self.resolve_inline(a), self.resolve_inline(b)),
-            Expr::Call(f, args) => {
-                Expr::Call(*f, args.iter().map(|a| self.resolve_inline(a)).collect())
+        let def = match def {
+            Def::Row(row) => Def::Row(self.hoist(row)),
+            tree => tree,
+        };
+        let mut deps = Vec::new();
+        let mut reads = Vec::new();
+        def.visit(&mut |v, delayed| {
+            if !delayed {
+                reads.push(v.clone());
             }
-            Expr::Ddt(a) => Expr::ddt(self.resolve_inline(a)),
-            Expr::Idt(a) => Expr::idt(self.resolve_inline(a)),
-            Expr::Cond(c, t, el) => Expr::cond(
-                self.resolve_inline(c),
-                self.resolve_inline(t),
-                self.resolve_inline(el),
-            ),
+        });
+        for v in reads {
+            match self.pending_serial(&v) {
+                Some(s) => deps.push(s),
+                None => deps.extend(self.deps_of(&v)),
+            }
         }
+        sort_deps(&mut deps);
+        self.memo.insert(q.clone(), Memo::Inline { def, deps });
     }
 
-    /// Appends auxiliary-state updates and materializes every delayed
-    /// quantity that lacks storage, then packages the assembly.
+    /// Splits an inline row into its pending terms and the part that is
+    /// computable now. The computable part becomes a named intermediate
+    /// statement (unless it is a single term, kept as is) and the returned
+    /// row reads it through one symbol.
+    fn hoist(&mut self, row: Affine) -> Affine {
+        let mut pending = Affine::default();
+        let mut ready = Affine::constant(row.constant);
+        for ((v, d), c) in row.terms {
+            let part = if d == 0 && self.is_pending(&v) {
+                &mut pending
+            } else {
+                &mut ready
+            };
+            part.terms.insert((v, d), c);
+        }
+        if ready.constant == 0.0 && ready.terms.len() <= 1 {
+            pending.terms.extend(ready.terms);
+            return pending;
+        }
+        let e = Quantity::var(format!("__e{}", self.intermediates));
+        self.intermediates += 1;
+        self.forward.push((e.clone(), Def::Row(ready)));
+        pending.terms.insert((e, 0), 1.0);
+        pending
+    }
+
+    /// Emits the back-substitution statement of `q` after those of the
+    /// inline quantities it reads.
+    fn emit(
+        &self,
+        q: &Quantity,
+        done: &mut HashSet<Quantity>,
+        out: &mut Vec<(Quantity, Def)>,
+    ) -> Result<(), AbstractError> {
+        if q.is_input() || done.contains(q) {
+            return Ok(());
+        }
+        let Some(Memo::Inline { def, .. }) = self.memo.get(q) else {
+            // A reference to a quantity that was never defined cannot be
+            // satisfied.
+            return Err(AbstractError::NoEquationFor {
+                quantity: q.clone(),
+            });
+        };
+        done.insert(q.clone());
+        let mut reads = Vec::new();
+        def.visit(&mut |v, delayed| {
+            if !delayed {
+                reads.push(v.clone());
+            }
+        });
+        for v in reads {
+            self.emit(&v, done, out)?;
+        }
+        out.push((q.clone(), def.clone()));
+        Ok(())
+    }
+
+    /// Back-substitutes the outputs, every delayed state and the symbols
+    /// they read, appends the auxiliary-state updates, folds aliases and
+    /// single-use rows, and packages the assembly.
     fn finalize(mut self, outputs: Vec<Quantity>) -> Result<Assembly, AbstractError> {
+        let forward = std::mem::take(&mut self.forward);
         // Auxiliary updates (idt accumulators, nonlinear ddt states) go
         // after the main sequence; they only feed the next step.
-        let pending: Vec<(Quantity, QExpr)> = self
-            .aux
-            .pending()
-            .iter()
-            .map(|(q, e)| (q.clone(), self.resolve_inline(e)))
+        let aux: Vec<(Quantity, Def)> = std::mem::take(&mut self.aux)
+            .into_pending()
+            .into_iter()
+            .map(|(q, e)| (q, Def::from_tree(e)))
             .collect();
-        for (q, e) in pending {
-            self.assignments.push((q.clone(), e));
-            self.memo.insert(q, Memo::Assigned);
+        let mut done: HashSet<Quantity> =
+            forward.iter().chain(&aux).map(|(q, _)| q.clone()).collect();
+        let mut wanted = outputs.clone();
+        for (_, def) in &aux {
+            def.visit(&mut |v, delayed| {
+                if !delayed {
+                    wanted.push(v.clone());
+                }
+            });
         }
-        // Materialize states: any Prev(x) without an assignment needs one
-        // so that its previous value exists. Iterate to closure because a
-        // materialized definition can reference further delayed inline
-        // quantities.
-        loop {
-            let mut missing: Vec<Quantity> = Vec::new();
-            for (_, e) in &self.assignments {
-                e.visit_vars(&mut |v, delayed| {
-                    if delayed
-                        && !v.is_input()
-                        && !matches!(self.memo.get(v), Some(Memo::Assigned))
-                        && !missing.contains(v)
-                    {
-                        missing.push(v.clone());
+        // Every delayed read needs its quantity stored each step; iterate
+        // to closure, since a back-substituted state can read further
+        // delayed inline quantities.
+        let delayed_reads = |defs: &[(Quantity, Def)], wanted: &mut Vec<Quantity>| {
+            for (_, def) in defs {
+                def.visit(&mut |v, delayed| {
+                    if delayed {
+                        wanted.push(v.clone());
                     }
                 });
             }
-            if missing.is_empty() {
-                break;
+        };
+        delayed_reads(&forward, &mut wanted);
+        delayed_reads(&aux, &mut wanted);
+        let mut back = Vec::new();
+        let mut scanned = 0;
+        while !wanted.is_empty() {
+            for q in std::mem::take(&mut wanted) {
+                self.emit(&q, &mut done, &mut back)?;
             }
-            for q in missing {
-                match self.memo.get(&q) {
-                    Some(Memo::Inline(x)) => {
-                        let resolved = self.resolve_inline(&x.clone());
-                        self.assignments.push((q.clone(), resolved));
-                        self.memo.insert(q, Memo::Assigned);
-                    }
-                    _ => {
-                        // A delayed reference to a quantity that was never
-                        // defined cannot be satisfied.
-                        return Err(AbstractError::NoEquationFor { quantity: q });
-                    }
-                }
-            }
+            delayed_reads(&back[scanned..], &mut wanted);
+            scanned = back.len();
         }
-        // Affine compaction: flatten linear updates into the
-        // constant-coefficient statements of Figure 7(b). Without it the
-        // substitution fill-in grows polynomially with circuit depth.
-        let assignments = self
-            .assignments
-            .into_iter()
-            .map(|(q, e)| (q, crate::compact::compact(&e)))
+        let keep: HashSet<Quantity> = outputs
+            .iter()
+            .chain(aux.iter().map(|(q, _)| q))
+            .cloned()
             .collect();
+        let statements = fold(forward.into_iter().chain(back).chain(aux).collect(), &keep);
         Ok(Assembly {
-            assignments,
+            assignments: statements
+                .into_iter()
+                .map(|(q, def)| (q, def.into_expr()))
+                .collect(),
             outputs,
             dt: self.dt,
         })
     }
+}
+
+/// Folds statements into the rows that read them: a single-term row
+/// (`q := c·w`, an alias when c = 1) into every reader, shifting delays,
+/// and any other row read once, at the current step, into that reader.
+/// Statements in `keep`, and statements a symbolic tree reads, stay.
+fn fold(statements: Vec<(Quantity, Def)>, keep: &HashSet<Quantity>) -> Vec<(Quantity, Def)> {
+    let index: HashMap<Quantity, usize> = statements
+        .iter()
+        .enumerate()
+        .map(|(i, (q, _))| (q.clone(), i))
+        .collect();
+    // For each statement: the (reader, delay) pairs of the rows reading
+    // it, and whether a tree reads it.
+    let mut readers: Vec<Vec<(usize, u32)>> = vec![Vec::new(); statements.len()];
+    let mut pinned = vec![false; statements.len()];
+    for (r, (_, def)) in statements.iter().enumerate() {
+        match def {
+            Def::Row(row) => {
+                for (v, d) in row.terms.keys() {
+                    if let Some(&i) = index.get(v) {
+                        readers[i].push((r, *d));
+                    }
+                }
+            }
+            Def::Tree(e) => e.visit_vars(&mut |v, _| {
+                if let Some(&i) = index.get(v) {
+                    pinned[i] = true;
+                }
+            }),
+        }
+    }
+    let mut statements: Vec<Option<(Quantity, Def)>> = statements.into_iter().map(Some).collect();
+    for i in 0..statements.len() {
+        let row = match &statements[i] {
+            Some((q, Def::Row(row))) if !keep.contains(q) && !pinned[i] => row,
+            _ => continue,
+        };
+        let single_term = row.constant == 0.0 && row.terms.len() == 1;
+        let read_once = matches!(readers[i].as_slice(), [(_, 0)]);
+        if !(single_term || read_once) || readers[i].iter().any(|&(r, _)| r == i) {
+            continue;
+        }
+        let Some((q, Def::Row(row))) = statements[i].take() else {
+            unreachable!("matched above");
+        };
+        // The statement's own reads move to its readers.
+        for (v, d) in row.terms.keys() {
+            if let Some(&j) = index.get(v) {
+                readers[j].retain(|&(x, e)| (x, e) != (i, *d));
+            }
+        }
+        for (r, k) in std::mem::take(&mut readers[i]) {
+            let Some((_, Def::Row(reader))) = &mut statements[r] else {
+                unreachable!("readers are live rows");
+            };
+            let c = reader
+                .terms
+                .remove(&(q.clone(), k))
+                .expect("the reader reads this statement");
+            reader.constant += c * row.constant;
+            for ((v, d), cv) in &row.terms {
+                let leaf = (v.clone(), d + k);
+                let merged = reader.terms.contains_key(&leaf);
+                *reader.terms.entry(leaf).or_insert(0.0) += c * cv;
+                match index.get(v) {
+                    Some(&j) if !merged => readers[j].push((r, d + k)),
+                    _ => {}
+                }
+            }
+        }
+    }
+    statements.into_iter().flatten().collect()
+}
+
+/// Number of affine terms across an assembly's statements.
+///
+/// # Panics
+///
+/// Panics on a statement that is not affine.
+#[cfg(test)]
+pub(crate) fn affine_term_count(asm: &Assembly) -> usize {
+    asm.assignments
+        .iter()
+        .map(|(q, e)| {
+            crate::compact::affine_terms(e)
+                .unwrap_or_else(|| panic!("{q} := {e} is not affine"))
+                .1
+                .len()
+        })
+        .sum()
 }
 
 #[cfg(test)]
@@ -804,6 +1141,26 @@ mod tests {
         // A truly nonlinear loop still fails.
         let bad = Expr::var(x.clone()) * Expr::var(x.clone());
         assert!(solve_self(&x, &bad).is_none());
+    }
+
+    #[test]
+    fn ladders_assemble_in_their_fill() {
+        // Back-substitution over named intermediates keeps a few terms per
+        // stage of the tridiagonal ladder: at most 7·n for RCn.
+        use crate::circuits::{opamp, rc_ladder, two_inputs};
+        for n in [8, 20, 64, 250] {
+            let asm = assemble_src(&rc_ladder(n), &[Quantity::node_v("out")], 50e-9);
+            let terms = affine_term_count(&asm);
+            assert!(terms <= 7 * n, "RC{n}: {terms} affine terms > {}", 7 * n);
+        }
+        for (label, src) in [
+            ("RC1", rc_ladder(1)),
+            ("2IN", two_inputs()),
+            ("OA", opamp()),
+        ] {
+            let asm = assemble_src(&src, &[Quantity::node_v("out")], 50e-9);
+            assert_eq!(asm.assignments.len(), 1, "{label}: {:?}", asm.assignments);
+        }
     }
 
     #[test]

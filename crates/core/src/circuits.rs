@@ -428,6 +428,21 @@ mod tests {
     }
 
     #[test]
+    fn diode_clamp_reports_its_nonlinear_loop() {
+        // The exponential diode closes a nonlinear loop through V(out); the
+        // error names it, not a fallback candidate's exhausted chain.
+        let m = parse_module(&diode_clamp()).unwrap();
+        let err = Abstraction::new(&m).dt(1e-6).build().unwrap_err();
+        assert_eq!(
+            err.root(),
+            &crate::AbstractError::NonlinearLoop {
+                quantity: crate::Quantity::node_v("out")
+            },
+            "{err}"
+        );
+    }
+
+    #[test]
     fn paper_benchmark_set_is_complete() {
         let benches = paper_benchmarks();
         let labels: Vec<_> = benches.iter().map(|(l, _, _)| *l).collect();

@@ -1,14 +1,17 @@
-//! Affine compaction of elaborated update expressions.
+//! Flat affine rows: the form every linear update takes.
 //!
-//! Symbolic chain substitution (Gaussian elimination by splicing) leaves
-//! deeply nested trees whose size grows polynomially with circuit depth.
-//! For *linear* circuits every update is an affine function of its leaves
-//! (inputs, delayed states, already-computed quantities), so it can be
-//! rewritten as the flat constant-coefficient statement the paper's
-//! Figure 7(b) shows: `x = c₀ + c₁·a + c₂·b + …`. That keeps generated
-//! code and the compiled evaluator at O(#leaves) work per step.
+//! For *linear* circuits every discretized update is an affine function of
+//! its leaves (inputs, delayed values, already-computed quantities), so it
+//! can be held as the flat constant-coefficient statement the paper's
+//! Figure 7(b) shows: `x = c₀ + c₁·a + c₂·b + …`. The assembler carries
+//! linear rows in this form while it eliminates (see
+//! [`assemble`](crate::assemble)), and the compiled model runs each one as a
+//! native dot product.
 //!
-//! Nonlinear or conditional expressions are left untouched.
+//! No coefficient is ever dropped for being small: a term whose coefficient
+//! is many orders below the row's largest can still carry a leaf that is
+//! many orders larger, so only exact zeros vanish. Nonlinear or conditional
+//! expressions have no affine view; they stay expression trees.
 
 use std::collections::BTreeMap;
 
@@ -24,20 +27,20 @@ pub type AffineTerms = (f64, Vec<(Leaf, f64)>);
 
 /// An affine form `constant + Σ coeff·leaf`.
 #[derive(Debug, Clone, PartialEq, Default)]
-struct Affine {
-    constant: f64,
-    terms: BTreeMap<Leaf, f64>,
+pub(crate) struct Affine {
+    pub(crate) constant: f64,
+    pub(crate) terms: BTreeMap<Leaf, f64>,
 }
 
 impl Affine {
-    fn constant(v: f64) -> Affine {
+    pub(crate) fn constant(v: f64) -> Affine {
         Affine {
             constant: v,
             terms: BTreeMap::new(),
         }
     }
 
-    fn leaf(l: Leaf) -> Affine {
+    pub(crate) fn leaf(l: Leaf) -> Affine {
         let mut terms = BTreeMap::new();
         terms.insert(l, 1.0);
         Affine {
@@ -46,34 +49,29 @@ impl Affine {
         }
     }
 
-    fn scale(mut self, k: f64) -> Affine {
+    pub(crate) fn scale(mut self, k: f64) -> Affine {
         self.constant *= k;
         self.terms.values_mut().for_each(|c| *c *= k);
         self
     }
 
-    fn add(mut self, other: Affine, sign: f64) -> Affine {
-        self.constant += sign * other.constant;
-        for (l, c) in other.terms {
-            *self.terms.entry(l).or_insert(0.0) += sign * c;
+    /// `self += k·other`.
+    pub(crate) fn add_scaled(&mut self, other: &Affine, k: f64) {
+        self.constant += k * other.constant;
+        for (l, c) in &other.terms {
+            *self.terms.entry(l.clone()).or_insert(0.0) += k * c;
         }
-        self
     }
 
     fn as_pure_constant(&self) -> Option<f64> {
         self.terms.is_empty().then_some(self.constant)
     }
 
-    fn into_expr(self) -> QExpr {
-        // Coefficients more than 16 decimal orders below the largest one
-        // cannot influence a double-precision sum; dropping them keeps the
-        // eliminated updates of chain circuits O(bandwidth) instead of
-        // O(n²) without any representable change in the result.
-        let max_coeff = self.terms.values().fold(0.0_f64, |m, c| m.max(c.abs()));
-        let floor = max_coeff * 1e-16;
+    /// Renders the row as a flat sum of products, skipping exact zeros.
+    pub(crate) fn into_expr(self) -> QExpr {
         let mut e: Option<QExpr> = None;
         for (l, c) in self.terms {
-            if c == 0.0 || c.abs() < floor {
+            if c == 0.0 {
                 continue;
             }
             let leaf = match l {
@@ -95,17 +93,31 @@ impl Affine {
 }
 
 /// Tries to view an expression as an affine form over its leaves.
-fn as_affine(e: &QExpr) -> Option<Affine> {
+pub(crate) fn as_affine(e: &QExpr) -> Option<Affine> {
+    as_affine_with(e, &mut |q| Some(Affine::leaf((q.clone(), 0))))
+}
+
+/// [`as_affine`] with current-value leaves resolved by `var`, which may
+/// substitute a quantity's own row or return `None` to make the whole
+/// expression non-affine. Delayed leaves stay leaves.
+pub(crate) fn as_affine_with(
+    e: &QExpr,
+    var: &mut impl FnMut(&Quantity) -> Option<Affine>,
+) -> Option<Affine> {
     match e {
         Expr::Num(v) => Some(Affine::constant(*v)),
-        Expr::Var(q) => Some(Affine::leaf((q.clone(), 0))),
+        Expr::Var(q) => var(q),
         Expr::Prev(q, k) => Some(Affine::leaf((q.clone(), *k))),
-        Expr::Neg(a) => Some(as_affine(a)?.scale(-1.0)),
-        Expr::Bin(BinOp::Add, a, b) => Some(as_affine(a)?.add(as_affine(b)?, 1.0)),
-        Expr::Bin(BinOp::Sub, a, b) => Some(as_affine(a)?.add(as_affine(b)?, -1.0)),
+        Expr::Neg(a) => Some(as_affine_with(a, var)?.scale(-1.0)),
+        Expr::Bin(op @ (BinOp::Add | BinOp::Sub), a, b) => {
+            let mut sum = as_affine_with(a, var)?;
+            let sign = if *op == BinOp::Add { 1.0 } else { -1.0 };
+            sum.add_scaled(&as_affine_with(b, var)?, sign);
+            Some(sum)
+        }
         Expr::Bin(BinOp::Mul, a, b) => {
-            let fa = as_affine(a)?;
-            let fb = as_affine(b)?;
+            let fa = as_affine_with(a, var)?;
+            let fb = as_affine_with(b, var)?;
             if let Some(k) = fa.as_pure_constant() {
                 Some(fb.scale(k))
             } else {
@@ -113,12 +125,12 @@ fn as_affine(e: &QExpr) -> Option<Affine> {
             }
         }
         Expr::Bin(BinOp::Div, a, b) => {
-            let fb = as_affine(b)?;
+            let fb = as_affine_with(b, var)?;
             let k = fb.as_pure_constant()?;
             if k == 0.0 {
                 return None;
             }
-            Some(as_affine(a)?.scale(1.0 / k))
+            Some(as_affine_with(a, var)?.scale(1.0 / k))
         }
         // Conditionals, relational operators, function calls and analog
         // operators are not affine.
@@ -126,29 +138,18 @@ fn as_affine(e: &QExpr) -> Option<Affine> {
     }
 }
 
-/// Rewrites an expression as a flat constant-coefficient combination when
-/// it is affine; returns a clone otherwise.
-pub fn compact(e: &QExpr) -> QExpr {
-    match as_affine(e) {
-        Some(affine) => affine.into_expr(),
-        None => e.clone(),
-    }
-}
-
 /// Extracts the affine view of an expression — the constant term plus
-/// `((quantity, delay), coefficient)` pairs — with the same sub-ULP
-/// pruning as [`compact`]. Returns `None` for non-affine expressions.
+/// `((quantity, delay), coefficient)` pairs, exact zeros dropped. Returns
+/// `None` for non-affine expressions.
 ///
 /// The compiled model evaluator uses this to run constant-coefficient
 /// updates as native dot products instead of interpreted bytecode.
 pub fn affine_terms(e: &QExpr) -> Option<AffineTerms> {
     let affine = as_affine(e)?;
-    let max_coeff = affine.terms.values().fold(0.0_f64, |m, c| m.max(c.abs()));
-    let floor = max_coeff * 1e-16;
     let terms = affine
         .terms
         .into_iter()
-        .filter(|(_, c)| *c != 0.0 && c.abs() >= floor)
+        .filter(|(_, c)| *c != 0.0)
         .collect();
     Some((affine.constant, terms))
 }
@@ -159,6 +160,11 @@ mod tests {
 
     fn v(n: &str) -> QExpr {
         Expr::var(Quantity::var(n))
+    }
+
+    /// The flat rendering of an affine expression; others unchanged.
+    fn compact(e: &QExpr) -> QExpr {
+        as_affine(e).map_or_else(|| e.clone(), Affine::into_expr)
     }
 
     fn assert_same_value(a: &QExpr, b: &QExpr) {
@@ -198,6 +204,16 @@ mod tests {
     fn cancellation_drops_terms() {
         let e = v("x") - v("x") + Expr::num(2.0);
         assert_eq!(compact(&e), Expr::num(2.0));
+    }
+
+    #[test]
+    fn tiny_coefficients_survive() {
+        // A coefficient 1e-20 of the largest one still carries its leaf:
+        // only exact zeros are dropped.
+        let e = v("x") + Expr::num(1e-20) * v("y");
+        let (_, terms) = affine_terms(&e).unwrap();
+        assert_eq!(terms.len(), 2);
+        assert_eq!(compact(&e), e);
     }
 
     #[test]
