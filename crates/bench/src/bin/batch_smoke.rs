@@ -1,11 +1,11 @@
 //! CI smoke check for lane-batched sweep execution — the headline
 //! benchmark of the batching work.
 //!
-//! Sweeps RC20 × 64 scenarios twice at the same worker count: once
-//! through the per-instance engine (`run_ams_sweep`) and once through
-//! the lane-batched engine (`run_ams_sweep_batched`). Asserts that
+//! Sweeps RC20 × 64 scenarios through `run_ams_sweep` twice at the same
+//! worker count: once in one-lane blocks (the scalar path: one scenario
+//! per Newton solve) and once in lane-blocks of 16. Asserts that
 //!
-//! * every batched waveform is **bit-identical** to its scalar twin
+//! * every batched waveform is **bit-identical** to its one-lane twin
 //!   (the determinism contract — same IEEE ops, same order, per lane);
 //! * the batch counters (`amsim.batch.lanes`, `sweep.batch.blocks`)
 //!   and the conserved `amsim.*` families are right;
@@ -20,7 +20,7 @@
 use amsvp_core::circuits::{rc_ladder, PiecewiseConstant};
 use obs::Obs;
 use std::time::Instant;
-use sweep::{run_ams_sweep, run_ams_sweep_batched, AmsScenario, ScenarioBudget, SweepEngine};
+use sweep::{run_ams_sweep, AmsScenario, ScenarioTree, SweepEngine, SweepOptions};
 
 const SCENARIOS: usize = 64;
 const WORKERS: usize = 4;
@@ -28,8 +28,8 @@ const LANE_WIDTH: usize = 16;
 const STEPS: usize = 400;
 const MIN_SPEEDUP: f64 = 2.0;
 
-fn scenarios() -> Vec<AmsScenario> {
-    (0..SCENARIOS)
+fn scenarios(n: usize) -> ScenarioTree {
+    let flat: Vec<AmsScenario> = (0..n)
         .map(|i| AmsScenario {
             name: format!("rc20/{i}"),
             stim: Box::new(PiecewiseConstant::seeded(i as u64 + 1, 5, 5e-5, 0.0, 1.0)),
@@ -37,7 +37,15 @@ fn scenarios() -> Vec<AmsScenario> {
             newton_tol: None,
             step_control: None,
         })
-        .collect()
+        .collect();
+    ScenarioTree::from(flat)
+}
+
+fn lanes(lane_width: usize) -> SweepOptions {
+    SweepOptions {
+        lane_width,
+        ..SweepOptions::default()
+    }
 }
 
 fn main() {
@@ -48,18 +56,20 @@ fn main() {
         .compile()
         .expect("RC20 compiles");
     let engine = SweepEngine::new().workers(WORKERS);
-    let budget = ScenarioBudget::unlimited();
+    let sweep = |tree: &ScenarioTree, lane_width: usize| {
+        run_ams_sweep(&engine, &model, tree, &lanes(lane_width), |_| {})
+    };
 
     // Warm-up (page in the model, stabilize frequencies), then measure.
-    run_ams_sweep(&engine, &model, &scenarios()[..WORKERS], &budget).expect("warm-up runs");
+    sweep(&scenarios(WORKERS), 1).expect("warm-up runs");
 
+    let tree = scenarios(SCENARIOS);
     let t0 = Instant::now();
-    let scalar = run_ams_sweep(&engine, &model, &scenarios(), &budget).expect("scalar sweep runs");
+    let scalar = sweep(&tree, 1).expect("one-lane sweep runs");
     let scalar_secs = t0.elapsed().as_secs_f64();
 
     let t0 = Instant::now();
-    let batched = run_ams_sweep_batched(&engine, &model, &scenarios(), LANE_WIDTH, &budget)
-        .expect("batched sweep runs");
+    let batched = sweep(&tree, LANE_WIDTH).expect("batched sweep runs");
     let batched_secs = t0.elapsed().as_secs_f64();
     let speedup = scalar_secs / batched_secs;
 
@@ -95,7 +105,7 @@ fn main() {
     }
     if mismatches != 0 {
         failures.push(format!(
-            "{mismatches} waveform samples differ between scalar and batched sweeps \
+            "{mismatches} waveform samples differ between one-lane and batched sweeps \
              (bit-identity is a design requirement, not a tolerance)"
         ));
     }
@@ -121,7 +131,7 @@ fn main() {
     for c in ["amsim.steps", "amsim.newton_iterations"] {
         if batched.report.counter(c) != scalar.report.counter(c) {
             failures.push(format!(
-                "counter `{c}` not conserved: batched {} vs scalar {}",
+                "counter `{c}` not conserved: batched {} vs one-lane {}",
                 batched.report.counter(c),
                 scalar.report.counter(c)
             ));
@@ -138,14 +148,14 @@ fn main() {
     if speedup < MIN_SPEEDUP {
         failures.push(format!(
             "batched sweep speedup {speedup:.2}x below the {MIN_SPEEDUP}x floor \
-             (scalar {scalar_secs:.3}s vs batched {batched_secs:.3}s at {WORKERS} workers)"
+             (one-lane {scalar_secs:.3}s vs batched {batched_secs:.3}s at {WORKERS} workers)"
         ));
     }
 
     println!(
         "batch_smoke: RC20 x {SCENARIOS} scenarios, {WORKERS} workers, lane width {LANE_WIDTH}"
     );
-    println!("  scalar   {scalar_secs:>8.3} s");
+    println!("  one-lane {scalar_secs:>8.3} s");
     println!("  batched  {batched_secs:>8.3} s  ({speedup:.2}x)");
     println!(
         "  masked iterations: {}",

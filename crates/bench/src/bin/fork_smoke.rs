@@ -2,16 +2,16 @@
 //! benchmark of the scenario-tree work.
 //!
 //! Sweeps RC20 × 64 scenarios that share the first 75% of their
-//! stimulus (300 of 400 steps) twice at the same worker count and lane
-//! width: once as a flat batched sweep (`run_ams_sweep_batched`, every
-//! lane re-simulates the shared prefix) and once as a scenario tree
-//! (`run_ams_sweep_tree`, the prefix is simulated once and the 64 tails
-//! fork from a snapshot). Asserts that
+//! stimulus (300 of 400 steps) through `run_ams_sweep` twice at the same
+//! worker count and lane width: once as a flat list (every lane
+//! re-simulates the shared prefix) and once as a scenario tree (the
+//! prefix is simulated once and the 64 tails fork from a snapshot).
+//! Asserts that
 //!
 //! * every forked waveform is **bit-identical** to its flat twin over
 //!   all 400 samples (forking is a scheduling choice, not a numerical
 //!   one);
-//! * the tree counters are exact: 65 nodes, 1 fork,
+//! * the tree has 65 nodes and its counters are exact: 1 fork,
 //!   `sweep.tree.prefix_steps_saved = 300 · 63`, one snapshot taken and
 //!   64 restores;
 //! * the tree sweep is at least `MIN_SPEEDUP`× faster at equal workers
@@ -25,8 +25,8 @@ use amsvp_core::circuits::{rc_ladder, PiecewiseConstant, Stimulus};
 use obs::Obs;
 use std::time::Instant;
 use sweep::{
-    run_ams_sweep_batched, run_ams_sweep_tree, AmsScenario, ScenarioBudget, ScenarioSegment,
-    ScenarioTree, SweepEngine, TreeScenario,
+    run_ams_sweep, AmsScenario, ScenarioSegment, ScenarioTree, SweepEngine, SweepOptions,
+    TreeScenario,
 };
 
 const SCENARIOS: usize = 64;
@@ -63,8 +63,8 @@ fn tail_stim(i: usize) -> PiecewiseConstant {
     PiecewiseConstant::seeded(i as u64 + 100, 5, 5e-5, 0.0, 1.0)
 }
 
-fn flat_scenarios() -> Vec<AmsScenario> {
-    (0..SCENARIOS)
+fn flat_scenarios(n: usize) -> ScenarioTree {
+    let flat: Vec<AmsScenario> = (0..n)
         .map(|i| AmsScenario {
             name: format!("rc20/tail{i}"),
             stim: Box::new(SwitchAt {
@@ -76,7 +76,8 @@ fn flat_scenarios() -> Vec<AmsScenario> {
             newton_tol: None,
             step_control: None,
         })
-        .collect()
+        .collect();
+    ScenarioTree::from(flat)
 }
 
 fn tree() -> ScenarioTree {
@@ -109,26 +110,22 @@ fn main() {
         .compile()
         .expect("RC20 compiles");
     let engine = SweepEngine::new().workers(WORKERS);
-    let budget = ScenarioBudget::unlimited();
+    let options = SweepOptions {
+        lane_width: LANE_WIDTH,
+        ..SweepOptions::default()
+    };
+    let sweep = |tree: &ScenarioTree| run_ams_sweep(&engine, &model, tree, &options, |_| {});
 
     // Warm-up (page in the model, stabilize frequencies), then measure.
-    run_ams_sweep_batched(
-        &engine,
-        &model,
-        &flat_scenarios()[..WORKERS],
-        LANE_WIDTH,
-        &budget,
-    )
-    .expect("warm-up runs");
+    sweep(&flat_scenarios(WORKERS)).expect("warm-up runs");
 
+    let (flat_tree, forked_tree) = (flat_scenarios(SCENARIOS), tree());
     let t0 = Instant::now();
-    let flat = run_ams_sweep_batched(&engine, &model, &flat_scenarios(), LANE_WIDTH, &budget)
-        .expect("flat batched sweep runs");
+    let flat = sweep(&flat_tree).expect("flat batched sweep runs");
     let flat_secs = t0.elapsed().as_secs_f64();
 
     let t0 = Instant::now();
-    let forked =
-        run_ams_sweep_tree(&engine, &model, &tree(), LANE_WIDTH, &budget).expect("tree sweep runs");
+    let forked = sweep(&forked_tree).expect("tree sweep runs");
     let forked_secs = t0.elapsed().as_secs_f64();
     let speedup = flat_secs / forked_secs;
 
@@ -171,9 +168,15 @@ fn main() {
              (bit-identity is a design requirement, not a tolerance)"
         ));
     }
+    if forked_tree.node_count() != SCENARIOS + 1 {
+        failures.push(format!(
+            "the tree has {} nodes, want {}",
+            forked_tree.node_count(),
+            SCENARIOS + 1
+        ));
+    }
     let want = [
         ("sweep.scenarios.ok", SCENARIOS as u64),
-        ("sweep.tree.nodes", SCENARIOS as u64 + 1),
         ("sweep.tree.forks", 1),
         (
             "sweep.tree.prefix_steps_saved",

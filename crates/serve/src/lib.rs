@@ -11,8 +11,8 @@
 //! 1. compiles the module **once** into an LRU [`cache::ModelCache`]
 //!    keyed by a stable request-content hash (resubmitting the same
 //!    module + settings is a cache hit — no reparse, no refactorization),
-//! 2. shards the scenarios through [`sweep::run_ams_sweep_batched_with`]
-//!    on the work-stealing pool, and
+//! 2. shards the scenarios through [`sweep::run_ams_sweep`] on the
+//!    work-stealing pool, and
 //! 3. **streams** results back incrementally as chunked JSON-lines:
 //!    one `scenario` record per scenario in input-index order, then a
 //!    `job.report` counter snapshot and a `job.done` tally.
@@ -70,8 +70,8 @@ use http::{ChunkedWriter, Limits, Request};
 use json::{Json, JsonBuf};
 use obs::{Obs, Report};
 use sweep::{
-    run_ams_sweep_batched_with, run_ams_sweep_recovering_with, AmsScenario, FaultKind, FaultPlan,
-    FaultSpec, Recovery, ScenarioBudget, ScenarioOutcome, SweepEngine,
+    run_ams_sweep, AmsScenario, FaultKind, FaultPlan, FaultSpec, Recovery, ScenarioBudget,
+    ScenarioOutcome, ScenarioTree, SweepEngine, SweepOptions,
 };
 
 /// Server tuning knobs. `Default` is sized for tests and local use.
@@ -577,7 +577,7 @@ fn run_job<W: Write>(job: &JobSpec, w: &mut W, shared: &Shared) -> io::Result<()
         _ => None,
     };
 
-    let scenarios = job.build_scenarios(model.dt());
+    let tree = ScenarioTree::from(job.build_scenarios(model.dt()));
     let mut stream = Stream {
         cw: ChunkedWriter::begin(&mut *w, 200, "OK")?,
         obs: &shared.obs,
@@ -590,7 +590,7 @@ fn run_job<W: Write>(job: &JobSpec, w: &mut W, shared: &Shared) -> io::Result<()
         .u64_field("job", job_id)
         .str_field("model_hash", &format!("{:016x}", model.model_hash()))
         .str_field("cache", if cache_hit { "hit" } else { "miss" })
-        .u64_field("scenarios", scenarios.len() as u64)
+        .u64_field("scenarios", tree.roots.len() as u64)
         .end_obj();
     stream.record(b);
 
@@ -620,35 +620,24 @@ fn run_job<W: Write>(job: &JobSpec, w: &mut W, shared: &Shared) -> io::Result<()
         }
     };
     let mut watchdog = None;
-    let outcome = match &job.recovery {
-        None => run_ams_sweep_batched_with(
-            &engine,
-            &model,
-            &scenarios,
-            job.lane_width,
-            &job.budget,
-            observe,
-        ),
-        Some(r) => {
-            let cancel = Arc::new(AtomicBool::new(false));
-            let recovery = Recovery {
-                policy: r.policy,
-                fallback,
-                plan: r.plan.clone(),
-                cancel: Some(Arc::clone(&cancel)),
-            };
-            watchdog = r.watchdog_secs.and_then(|secs| Watchdog::arm(secs, cancel));
-            run_ams_sweep_recovering_with(
-                &engine,
-                &model,
-                &scenarios,
-                job.lane_width,
-                &job.budget,
-                &recovery,
-                observe,
-            )
+    let recovery = job.recovery.as_ref().map(|r| {
+        let cancel = Arc::new(AtomicBool::new(false));
+        watchdog = r
+            .watchdog_secs
+            .and_then(|secs| Watchdog::arm(secs, Arc::clone(&cancel)));
+        Recovery {
+            policy: r.policy,
+            fallback,
+            plan: r.plan.clone(),
+            cancel: Some(cancel),
         }
+    });
+    let options = SweepOptions {
+        lane_width: job.lane_width,
+        budget: job.budget,
+        recovery,
     };
+    let outcome = run_ams_sweep(&engine, &model, &tree, &options, observe);
     let watchdog_fired = watchdog.take().is_some_and(Watchdog::disarm);
 
     match outcome {

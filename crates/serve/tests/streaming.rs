@@ -16,7 +16,10 @@ use std::sync::Arc;
 use amsvp_core::circuits::{diode_clamp, rc_ladder, PiecewiseConstant};
 use amsvp_serve::json::{self, Json, JsonBuf};
 use amsvp_serve::{ServeConfig, Server};
-use sweep::{run_ams_sweep_batched, AmsScenario, ScenarioBudget, ScenarioOutcome, SweepEngine};
+use sweep::{
+    run_ams_sweep, AmsScenario, ScenarioBudget, ScenarioOutcome, ScenarioTree, SweepEngine,
+    SweepOptions,
+};
 
 const LANE_WIDTH: usize = 4;
 const STEPS: u64 = 40;
@@ -131,7 +134,7 @@ fn stream_matches_local_batch_run_bit_for_bit() {
             .collect();
 
         // Local reference: the exact scenarios the job carries, run
-        // through the batch entry point the CLI/bench path uses.
+        // through the sweep entry point directly.
         let module = vams_parser::parse_module(&module_src).expect("module parses");
         let model: Arc<_> = amsim::Simulation::new(&module)
             .dt(1e-6)
@@ -192,12 +195,17 @@ fn stream_matches_local_batch_run_bit_for_bit() {
             newton_tol: None,
             step_control: None,
         });
-        let outcome = run_ams_sweep_batched(
+        let options = SweepOptions {
+            lane_width: LANE_WIDTH,
+            budget: ScenarioBudget::unlimited().max_steps(BUDGET_STEPS),
+            recovery: None,
+        };
+        let outcome = run_ams_sweep(
             &SweepEngine::new().workers(2),
             &model,
-            &scenarios,
-            LANE_WIDTH,
-            &ScenarioBudget::unlimited().max_steps(BUDGET_STEPS),
+            &ScenarioTree::from(scenarios),
+            &options,
+            |_| {},
         )
         .expect("local sweep runs");
 

@@ -11,48 +11,41 @@
 //! [`Arc`], and shared by every worker; each scenario then pays only for
 //! a cheap per-run instance.
 //!
-//! [`SweepEngine`] runs every sweep on one pool of scoped `std::thread`
-//! workers fed by one job queue (a pool of one works on the calling
-//! thread). A job is one scenario
-//! ([`SweepEngine::run_isolated`]), one lane-block
-//! ([`SweepEngine::run_batched`]) or one chunk of sibling tree segments
-//! (the batched AMS sweeps below), and a job that finishes a shared tree
-//! prefix queues its children's chunks. Worker *w* starts on job *w* and
-//! then pops the queue, so fast workers drain it while slow jobs never
-//! stall the pool. Every job records into its own [`obs::Obs`] collector
-//! (no contention on a shared lock in the hot loop); the engine merges
-//! the per-job reports **in scenario index order** — together with
-//! sweep-level counters and wall-time histograms — so the merged
-//! [`Report`] is identical regardless of worker count or scheduling.
+//! [`run_ams_sweep`] is the one AMS sweep entry: it runs a
+//! [`ScenarioTree`] under [`SweepOptions`] (lane width, per-scenario
+//! budget, optional recovery ladder) and hands each finished unit of work
+//! to an observer. A flat scenario list is the depth-1 tree
+//! (`ScenarioTree::from`). Every pool job steps up to `lane_width`
+//! sibling segments as one [`amsim::BatchInstance`] — one lane-block
+//! driver for flat, recovering and forking sweeps alike — and a job that
+//! finishes a shared prefix queues its children's chunks.
 //!
-//! Every batched AMS sweep ([`run_ams_sweep_batched`],
-//! [`run_ams_sweep_recovering`], [`run_ams_sweep_tree`] and the `_with`
-//! variants) runs through **one lane-block driver**: each of its pool
-//! jobs steps up to `lane_width` sibling segments as one
-//! [`amsim::BatchInstance`]. A flat scenario list is the depth-1
-//! [`ScenarioTree`], and the batched sweep is the recovering sweep with
-//! the ladder off. Observers get one event per run of consecutive
-//! scenarios a block resolves ([`SweepEvent`]); [`run_ams_sweep`] is the
-//! per-instance reference.
+//! [`SweepEngine::run_batched`] is the generic block entry on the same
+//! pool (the fleet runner's). Worker *w* starts on job *w* and then pops
+//! the queue, so fast workers drain it while slow jobs never stall the
+//! pool (a pool of one works on the calling thread). Every job records
+//! into its own [`obs::Obs`] collector (no contention on a shared lock in
+//! the hot loop); the engine merges the job reports **in key order** —
+//! together with sweep-level counters and wall-time histograms — so the
+//! merged [`Report`] is identical regardless of worker count or
+//! scheduling.
 //!
 //! # Example
 //!
 //! ```
-//! use amsvp_sweep::{ScenarioBudget, SweepEngine};
+//! use amsvp_sweep::SweepEngine;
 //!
 //! let engine = SweepEngine::new().workers(4);
 //! let scenarios: Vec<u64> = (0..32).collect();
-//! let budget = ScenarioBudget::unlimited();
-//! let outcome = engine.run_isolated::<_, _, (), _>(&scenarios, &budget, |ctx, s| {
-//!     ctx.obs.add("work.items", 1);
-//!     Ok(s * s)
+//! let outcome = engine.run_batched(&scenarios, 8, |obs, block| {
+//!     obs.add("work.items", block.len() as u64);
+//!     block.iter().map(|s| s * s).collect()
 //! });
-//! assert_eq!(outcome.results[5].ok(), Some(&25));
+//! assert_eq!(outcome.results[5], 25);
 //! assert_eq!(outcome.report.counter("work.items"), 32);
-//! assert_eq!(outcome.report.counter("sweep.scenarios"), 32);
+//! assert_eq!(outcome.report.counter("sweep.batch.blocks"), 4);
 //! ```
 
-use std::cell::Cell;
 use std::collections::VecDeque;
 use std::error::Error;
 use std::fmt;
@@ -67,18 +60,15 @@ use amsvp_core::circuits::Stimulus;
 use obs::{Obs, Report};
 
 mod recovery;
-pub use recovery::{
-    run_ams_sweep_recovering, run_ams_sweep_recovering_with, FaultKind, FaultPlan, FaultSpec,
-    Recovery, RecoveryAttempt, RecoveryRung,
-};
+pub use recovery::{FaultKind, FaultPlan, FaultSpec, Recovery, RecoveryAttempt, RecoveryRung};
 
 /// Per-scenario step/wall-clock budget for fault-isolated sweeps.
 ///
 /// A runaway scenario — an adaptive run grinding at `min_dt`, an
 /// accidental infinite stimulus — must not starve its siblings of a
-/// worker forever. The scenario body charges its progress through
-/// [`ScenarioCtx::tick`]; once either cap is exceeded the scenario is cut
-/// short with a [`BudgetExceeded`] record instead of an `Ok` result.
+/// worker forever. The sweep charges each lane's progress before every
+/// step; once either cap is exceeded the scenario is cut short with a
+/// [`BudgetExceeded`] record instead of an `Ok` result.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct ScenarioBudget {
     max_steps: Option<u64>,
@@ -86,20 +76,20 @@ pub struct ScenarioBudget {
 }
 
 impl ScenarioBudget {
-    /// No caps: [`ScenarioCtx::tick`] never fails.
+    /// No caps: [`ScenarioBudget::check`] never fails.
     pub fn unlimited() -> ScenarioBudget {
         ScenarioBudget::default()
     }
 
-    /// Caps the number of steps a scenario may charge via `tick`.
+    /// Caps the number of steps a scenario may charge.
     #[must_use]
     pub fn max_steps(mut self, n: u64) -> ScenarioBudget {
         self.max_steps = Some(n);
         self
     }
 
-    /// Caps a scenario's wall-clock time in seconds (checked at each
-    /// `tick`, so a scenario that never ticks is not interrupted).
+    /// Caps a scenario's wall-clock time in seconds (checked before each
+    /// step, so a step that never returns is not interrupted).
     #[must_use]
     pub fn max_wall(mut self, secs: f64) -> ScenarioBudget {
         self.max_wall = Some(secs);
@@ -116,9 +106,10 @@ impl ScenarioBudget {
         self.max_wall
     }
 
-    /// Checks already-charged progress against both caps — the stateless
-    /// core of [`ScenarioCtx::tick`], exposed so batched sweep bodies can
-    /// keep **per-lane** accounts against one shared budget.
+    /// Checks already-charged progress against both caps, exposed so
+    /// block bodies on [`SweepEngine::run_batched`] (the fleet runner's)
+    /// keep **per-lane** accounts against one shared budget, as the AMS
+    /// sweep does.
     ///
     /// # Errors
     ///
@@ -164,25 +155,6 @@ impl fmt::Display for BudgetExceeded {
 
 impl Error for BudgetExceeded {}
 
-/// Why a fault-isolated scenario body stopped early.
-///
-/// Scenario closures under [`SweepEngine::run_isolated`] return
-/// `Result<R, SweepFault<E>>`; the `From<BudgetExceeded>` impl lets
-/// [`ScenarioCtx::tick`]'s error propagate with `?`.
-#[derive(Debug)]
-pub enum SweepFault<E> {
-    /// The domain solver failed (a typed error such as `amsim::AmsError`).
-    Error(E),
-    /// The per-scenario budget ran out.
-    Budget(BudgetExceeded),
-}
-
-impl<E> From<BudgetExceeded> for SweepFault<E> {
-    fn from(b: BudgetExceeded) -> Self {
-        SweepFault::Budget(b)
-    }
-}
-
 /// Per-scenario verdict of a fault-isolated sweep: exactly one of these
 /// lands in [`SweepOutcome::results`] for every input index — faults are
 /// *recorded*, never propagated, so one bad scenario cannot discard its
@@ -192,7 +164,7 @@ pub enum ScenarioOutcome<R, E> {
     /// The scenario completed; its result.
     Ok(R),
     /// The scenario faulted but a rung of the recovery ladder completed
-    /// it ([`run_ams_sweep_recovering`]); the result is **bit-identical**
+    /// it ([`SweepOptions::recovery`]); the result is **bit-identical**
     /// to the same scenario run from `t = 0` on the rung's configuration.
     Recovered {
         /// The completed run.
@@ -209,7 +181,7 @@ pub enum ScenarioOutcome<R, E> {
         error: E,
         /// The recovery trail, when a ladder ran and gave up: the
         /// original fault (`rung: None`) plus one entry per failed rung.
-        /// Empty under the non-recovering entry points.
+        /// Empty when no ladder ran.
         attempts: Vec<RecoveryAttempt>,
     },
     /// The scenario body panicked; the stringified payload.
@@ -263,54 +235,16 @@ impl<R, E> ScenarioOutcome<R, E> {
     }
 }
 
-/// Per-scenario context handed to the [`SweepEngine::run_isolated`]
-/// closure.
+/// One finished unit of sweep work, handed to the observer of
+/// [`run_ams_sweep`] **before** the final merge.
 ///
-/// `obs` is a fresh recording collector owned by this scenario alone —
-/// attach it to the instances the scenario builds; the engine folds it
-/// into the merged sweep report afterwards.
-pub struct ScenarioCtx {
-    /// Recording collector private to this scenario.
-    pub obs: Obs,
-    limits: ScenarioBudget,
-    charged: Cell<u64>,
-    started: Instant,
-}
-
-impl ScenarioCtx {
-    /// Charges `steps` units of work against the scenario budget and
-    /// checks both caps.
-    ///
-    /// Call once per solver step (or batch); under
-    /// [`ScenarioBudget::unlimited`] this never fails.
-    ///
-    /// # Errors
-    ///
-    /// [`BudgetExceeded`] once the charged steps pass `max_steps` or the
-    /// scenario's wall clock passes `max_wall`.
-    pub fn tick(&self, steps: u64) -> Result<(), BudgetExceeded> {
-        let charged = self.charged.get() + steps;
-        self.charged.set(charged);
-        let wall = if self.limits.max_wall.is_some() {
-            self.started.elapsed().as_secs_f64()
-        } else {
-            0.0
-        };
-        self.limits.check(charged, wall)
-    }
-}
-
-/// One finished unit of sweep work, handed to the incremental result
-/// observer of [`run_ams_sweep_batched_with`] or
-/// [`run_ams_sweep_recovering_with`] **before** the final merge.
-///
-/// Batched sweeps deliver one event per maximal run of consecutive
-/// leaves a lane-block resolves (`first_index` = the run's first
-/// scenario index, `results` in input order), with the block's report on
-/// its first event and an empty report on any later one. Every flat
-/// sweep is a depth-1 forest whose blocks resolve whole runs, so there
-/// that is one event per lane-block. Events arrive in **completion
-/// order** — scheduling-dependent by nature; a streaming consumer that
+/// A lane-block delivers one event per maximal run of consecutive leaves
+/// it resolves (`first_index` = the run's first leaf index, `results` in
+/// leaf order), with the block's report on its first event and an empty
+/// report on any later one. A flat sweep's blocks resolve whole runs, so
+/// there that is one event per lane-block; a block that only runs a
+/// shared prefix resolves no leaf and fires no event (its counters reach
+/// the merged report alone). Events arrive in **completion order** — scheduling-dependent by nature; a streaming consumer that
 /// needs a deterministic byte stream must reorder on `first_index` (the
 /// per-scenario payloads themselves are bit-identical for any worker
 /// count, so index order is all it takes).
@@ -332,10 +266,8 @@ pub struct SweepEvent<'a, R> {
 pub struct SweepOutcome<R> {
     /// One result per scenario, in input order.
     pub results: Vec<R>,
-    /// The per-scenario instrumentation reports, in input order.
-    pub scenario_reports: Vec<Report>,
-    /// All scenario reports merged in index order, plus the sweep-level
-    /// `sweep.*` counters and timers (see [`SweepEngine::run_isolated`]).
+    /// Every job's report merged in key order, plus the sweep-level
+    /// `sweep.*` counters and timers (see [`SweepEngine::run_batched`]).
     pub report: Report,
     /// Wall-clock duration of the whole sweep in seconds.
     pub wall: f64,
@@ -370,95 +302,32 @@ impl SweepEngine {
         self.workers
     }
 
-    /// Runs `f` once per scenario across the worker pool with full fault
-    /// isolation: the body is wrapped in [`std::panic::catch_unwind`] and
-    /// charged against a per-scenario [`ScenarioBudget`] (via
-    /// [`ScenarioCtx::tick`]), so a panicking, diverging, or runaway
-    /// scenario yields a typed [`ScenarioOutcome`] in its slot instead of
-    /// tearing down the pool.
+    /// Runs `f` once per **lane-block** of up to `lane_width` scenarios
+    /// (threads × lanes), one pool job per block: the body gets the
+    /// block's own recording collector and returns one result per
+    /// scenario in its block, in block order. Fault isolation *within* a
+    /// block is the body's job: `vp::run_fleet`'s body catches each
+    /// device's panics and charges its budget per lane.
     ///
-    /// Each scenario is one pool job, so with at least as many scenarios
-    /// as workers, every worker executes at least one scenario.
-    ///
-    /// The merged [`SweepOutcome::report`] contains, beyond the summed
-    /// scenario counters and timers:
+    /// With at least as many blocks as workers, every worker runs at
+    /// least one. The merged [`SweepOutcome::report`] is the block
+    /// reports merged in block order — independent of worker count and
+    /// scheduling — plus:
     ///
     /// * `sweep.scenarios` — number of scenarios executed;
     /// * `sweep.workers` — pool size;
     /// * `sweep.worker.{w}.scenarios` — scenarios executed by worker *w*
     ///   (scheduling-dependent; everything else is not);
-    /// * `sweep.scenarios.{ok,failed,panicked,budget}` — all four keys
-    ///   always present, so downstream dashboards see stable schemas;
-    /// * `sweep.scenario` — wall-time histogram over individual
-    ///   scenarios, observed in index order;
-    /// * `sweep.wall` — one observation: the whole sweep's wall time.
-    ///
-    /// Surviving scenarios keep the bit-identical-for-any-worker-count
-    /// guarantee: faults are per-index records merged in input order, not
-    /// scheduling-dependent state.
-    ///
-    /// # Panics
-    ///
-    /// Propagates a panic that escapes the isolation (a panic payload
-    /// whose own `Drop` panics) once all workers have stopped.
-    pub fn run_isolated<S, R, E, F>(
-        &self,
-        scenarios: &[S],
-        budget: &ScenarioBudget,
-        f: F,
-    ) -> SweepOutcome<ScenarioOutcome<R, E>>
-    where
-        S: Sync,
-        R: Send,
-        E: Send,
-        F: Fn(&ScenarioCtx, &S) -> Result<R, SweepFault<E>> + Sync,
-    {
-        let seeds = (0..scenarios.len()).collect();
-        let run = |i: usize, obs: &Obs| {
-            let ctx = ScenarioCtx {
-                obs: obs.clone(),
-                limits: *budget,
-                charged: Cell::new(0),
-                started: Instant::now(),
-            };
-            let outcome = match catch_unwind(AssertUnwindSafe(|| f(&ctx, &scenarios[i]))) {
-                Ok(Ok(r)) => ScenarioOutcome::Ok(r),
-                Ok(Err(SweepFault::Error(e))) => ScenarioOutcome::failed(e),
-                Ok(Err(SweepFault::Budget(b))) => ScenarioOutcome::Budget(b),
-                Err(payload) => ScenarioOutcome::Panicked(panic_message(payload)),
-            };
-            JobOutput::at(i, vec![outcome])
-        };
-        let mut out = run_pool(self.workers, scenarios.len(), false, seeds, run, |_| {});
-        merge_fault_tally(&mut out.report, &out.results, false);
-        out
-    }
-
-    /// Runs `f` once per **lane-block** of up to `lane_width` scenarios
-    /// (threads × lanes), one pool job per block: the body gets the
-    /// block's own recording collector and returns one result per
-    /// scenario in its block, in block order.
-    ///
-    /// The merged report attaches each block's report at the block's
-    /// first scenario index, so the merge order — and hence the merged
-    /// [`Report`] — is independent of worker count and scheduling, same
-    /// as the scalar path.
-    ///
-    /// Beyond [`SweepEngine::run_isolated`]'s `sweep.scenarios` /
-    /// `sweep.workers` / `sweep.worker.{w}.scenarios` counters (which
-    /// keep counting *scenarios*, not blocks), the merged report gains:
-    ///
     /// * `sweep.batch.blocks` — number of lane-blocks executed;
-    /// * `sweep.block` — wall-time histogram over blocks (replaces the
-    ///   per-scenario `sweep.scenario` histogram, which a batched run
-    ///   cannot observe).
+    /// * `sweep.block` — wall-time histogram over blocks, observed in
+    ///   block order;
+    /// * `sweep.wall` — one observation: the whole sweep's wall time.
     ///
     /// # Panics
     ///
     /// Panics if the body returns a result count different from its
-    /// block's scenario count; propagates panics from `f` once all
-    /// workers have stopped. (Fault isolation *within* a block is the
-    /// body's job, as in the fleet runner's device blocks.)
+    /// block's scenario count; propagates panics from `f`, with their
+    /// payload, once all workers have stopped.
     pub fn run_batched<S, R, F>(&self, scenarios: &[S], lane_width: usize, f: F) -> SweepOutcome<R>
     where
         S: Sync,
@@ -477,7 +346,7 @@ impl SweepEngine {
             );
             JobOutput::at(first, results)
         };
-        run_pool(self.workers, scenarios.len(), true, seeds, run, |_| {})
+        run_pool(self.workers, scenarios.len(), seeds, run, |_| {})
     }
 }
 
@@ -491,12 +360,10 @@ impl Default for SweepEngine {
 
 /// What one pool job produced.
 struct JobOutput<J, R> {
-    /// Merge key, unique per job: job reports land, and the per-job
+    /// Merge key, unique per job: job reports merge, and the per-job
     /// timer observes, in key order, so the merged report never depends
     /// on scheduling.
     key: usize,
-    /// The slot the job's report lands in.
-    slot: usize,
     /// The job's results as runs of consecutive slots, each with its
     /// first slot.
     runs: Vec<(usize, Vec<R>)>,
@@ -505,12 +372,11 @@ struct JobOutput<J, R> {
 }
 
 impl<J, R> JobOutput<J, R> {
-    /// A job that fills the consecutive slots from `first` and forks
-    /// nothing: one scenario or one lane-block.
+    /// A lane-block that fills the consecutive slots from `first` and
+    /// forks nothing.
     fn at(first: usize, results: Vec<R>) -> Self {
         JobOutput {
             key: first,
-            slot: first,
             runs: vec![(first, results)],
             forks: Vec::new(),
         }
@@ -618,13 +484,11 @@ fn work<J, R, F>(
 /// reach the caller's thread in completion order, where `observe` fires
 /// once per run of results, with the job's report on the first event.
 ///
-/// Job reports land in key order: the first report for a slot moves
-/// into it, later ones merge into it. The merged report is the slot
-/// reports in index order plus `sweep.scenarios` (= `slots`),
-/// `sweep.workers`, `sweep.worker.{w}.scenarios`, one wall-time
-/// observation per job in key order — `sweep.block`, with the
-/// `sweep.batch.blocks` count, when `blocks`, else `sweep.scenario` —
-/// and `sweep.wall`.
+/// The merged report is the job reports in key order plus
+/// `sweep.scenarios` (= `slots`), `sweep.workers`,
+/// `sweep.worker.{w}.scenarios`, `sweep.batch.blocks` (= jobs), one
+/// `sweep.block` wall-time observation per job in key order, and
+/// `sweep.wall`.
 ///
 /// A panic that escapes a job propagates, with its payload, once every
 /// worker has stopped: the [`Claimed`] guard completes the job, so no
@@ -632,7 +496,6 @@ fn work<J, R, F>(
 fn run_pool<J, R, F, O>(
     workers: usize,
     slots: usize,
-    blocks: bool,
     seeds: Vec<J>,
     run: F,
     mut observe: O,
@@ -657,9 +520,9 @@ where
     let mut results: Vec<Option<R>> = Vec::with_capacity(slots);
     results.resize_with(slots, || None);
     let mut per_worker = vec![0u64; workers];
-    // `(key, slot, report, secs)` per job, placed in key order after the
-    // run so the merged report never depends on scheduling.
-    let mut jobs: Vec<(usize, usize, Report, f64)> = Vec::new();
+    // `(key, report, secs)` per job, merged in key order after the run
+    // so the merged report never depends on scheduling.
+    let mut jobs: Vec<(usize, Report, f64)> = Vec::new();
     let empty = Report::default();
     // Takes in one finished job, on the caller's thread.
     let mut finish = |(w, output, report, secs): Finished<J, R>| {
@@ -677,7 +540,7 @@ where
                 results[slot] = Some(r);
             }
         }
-        jobs.push((output.key, output.slot, report, secs));
+        jobs.push((output.key, report, secs));
     };
 
     if workers == 1 {
@@ -717,29 +580,13 @@ where
 
     let wall = start.elapsed().as_secs_f64();
 
-    // Two tree jobs can share a slot (a prefix and its first fork chunk):
-    // the first report moves in, later ones merge into it.
     jobs.sort_by_key(|&(key, ..)| key);
-    let mut scenario_reports = vec![Report::default(); slots];
-    let sweep_obs = Obs::recording();
-    let timer = if blocks {
-        sweep_obs.add("sweep.batch.blocks", jobs.len() as u64);
-        "sweep.block"
-    } else {
-        "sweep.scenario"
-    };
-    for (_, slot, job_report, secs) in jobs {
-        sweep_obs.time(timer, secs);
-        let slot = &mut scenario_reports[slot];
-        if slot.counters.is_empty() && slot.timers.is_empty() {
-            *slot = job_report;
-        } else {
-            slot.merge(&job_report);
-        }
-    }
     let mut report = Report::default();
-    for r in &scenario_reports {
-        report.merge(r);
+    let sweep_obs = Obs::recording();
+    sweep_obs.add("sweep.batch.blocks", jobs.len() as u64);
+    for (_, job_report, secs) in jobs {
+        sweep_obs.time("sweep.block", secs);
+        report.merge(&job_report);
     }
     sweep_obs.add("sweep.scenarios", slots as u64);
     sweep_obs.add("sweep.workers", workers as u64);
@@ -755,7 +602,6 @@ where
         .collect();
     SweepOutcome {
         results,
-        scenario_reports,
         report,
         wall,
         workers,
@@ -824,9 +670,9 @@ impl OutcomeTally {
     /// Folds the tally into `report` as `{prefix}.{ok,failed,panicked,
     /// budget}` — all four keys always present, so downstream dashboards
     /// see stable schemas. `with_recovered` additionally emits
-    /// `{prefix}.recovered`; only the recovering entry point
-    /// ([`run_ams_sweep_recovering`]) opts in, so every pre-existing
-    /// sweep keeps its historical report schema exactly.
+    /// `{prefix}.recovered`; only a sweep whose recovery ladder is on
+    /// opts in, so every other sweep keeps its historical report schema
+    /// exactly.
     pub fn merge_into(&self, report: &mut Report, prefix: &str, with_recovered: bool) {
         let fault_obs = Obs::recording();
         fault_obs.add(&format!("{prefix}.ok"), self.ok);
@@ -838,16 +684,6 @@ impl OutcomeTally {
         fault_obs.add(&format!("{prefix}.budget"), self.budget);
         report.merge(&fault_obs.report().unwrap_or_default());
     }
-}
-
-/// Folds the per-scenario fault tally into `report` under the sweep's
-/// historical `sweep.scenarios.*` namespace.
-fn merge_fault_tally<R, E>(
-    report: &mut Report,
-    results: &[ScenarioOutcome<R, E>],
-    with_recovered: bool,
-) {
-    OutcomeTally::of(results).merge_into(report, "sweep.scenarios", with_recovered);
 }
 
 // ------------------------------------------------------- amsim scenarios
@@ -879,96 +715,109 @@ pub struct AmsRun {
     pub newton_iters: u64,
 }
 
-/// Sweeps `scenarios` over one shared compiled Verilog-AMS model, fault
-/// isolated: the result slot of a scenario that fails Newton, exceeds
-/// `budget`, or panics holds a typed [`ScenarioOutcome`] record while its
-/// siblings' waveforms survive untouched.
+/// What [`run_ams_sweep`] runs with besides the model and the tree.
+#[derive(Clone, Default)]
+pub struct SweepOptions {
+    /// Sibling segments per [`amsim::BatchInstance`] (threads × lanes;
+    /// `0` counts as 1). Like the worker count, a pure performance knob.
+    pub lane_width: usize,
+    /// The per-scenario step/wall budget, charged per lane.
+    pub budget: ScenarioBudget,
+    /// The recovery ladder, fault plan and kill switch; `None` runs
+    /// without any of them.
+    pub recovery: Option<Recovery>,
+}
+
+/// Sweeps a [`ScenarioTree`] over one shared compiled Verilog-AMS model:
+/// the one AMS sweep entry. A flat `Vec<AmsScenario>` is the depth-1
+/// tree (`ScenarioTree::from`); a caller with no observer passes
+/// `|_| {}`.
 ///
-/// The model is compiled once by the caller ([`amsim::Simulation::compile`])
-/// and only cheap [`amsim::Instance`]s are created per scenario — the
-/// merged report's `amsim.jacobian.builds` therefore stays at the
-/// compile-time value no matter how many scenarios run. Instances flush
-/// their counters on drop, so even a faulted scenario's partial solver
-/// counters reach the merged report.
+/// The model is compiled once by the caller ([`amsim::Simulation::compile`]);
+/// every pool job steps up to `lane_width` sibling segments as one
+/// [`amsim::BatchInstance`], so the merged `amsim.jacobian.builds` stays
+/// at the compile-time value however many scenarios run. Every shared
+/// prefix is simulated **once**: a segment with children runs as a
+/// single lane, snapshots at its end ([`BatchInstance::snapshot_lane`]),
+/// and fans its children out into fresh lane-blocks seeded from that
+/// checkpoint ([`BatchInstance::fork_from`]). Subtrees are work-stolen by
+/// the engine's pool, so independent branches simulate concurrently.
 ///
-/// This is the per-instance reference the batched sweeps are tested
-/// against; it does not go through the lane-block driver.
+/// Results land in **leaf order** (depth-first, left to right), one
+/// [`ScenarioOutcome`] per leaf. Every leaf's waveform is
+/// **bit-identical** to the same root-to-leaf path run alone from
+/// `t = 0` on one lane — a lane performs the one-lane path's IEEE ops in
+/// the same order, the snapshot replays the exact ddt/idt history,
+/// adaptive-dt state and factorization validity, and stimuli are sampled
+/// at absolute time — so tree structure, `lane_width` and the worker
+/// count are pure performance knobs.
+///
+/// **Fault isolation** is per lane: a lane that fails Newton is retired
+/// by the batch with its typed [`AmsError`], a panicking stimulus is
+/// caught around that lane's sample alone, and a fault on a segment
+/// records itself in every leaf slot below it; siblings are untouched.
+/// **Budgets** are charged against each lane's own path: a step of a
+/// segment shared by `s` leaves charges `1/s` of a step, and wall time is
+/// attributed per lane — sampling to the sampling lane, each batched
+/// solve split evenly over the lanes that entered it — divided by the
+/// same share, so a slow sibling cannot trip a healthy lane's
+/// `max_wall`. At depth 1 that is plain per-scenario accounting.
+///
+/// **Recovery** ([`SweepOptions::recovery`]): the ladder, its periodic
+/// checkpoints and the fault plan act on childless roots only — whole
+/// scenarios from `t = 0`, which is every lane of a flat sweep. A lane
+/// that faults with a typed error or a panic climbs the ladder (see
+/// [`Recovery`]) and reports [`ScenarioOutcome::Recovered`] or a
+/// `Failed` outcome with its attempt trail. A fault on a shared prefix or
+/// a forked segment stays final, and budget verdicts are never laddered.
+/// The kill switch cuts every running lane.
+///
+/// `observe` fires on the caller's thread for every finished lane-block,
+/// outcomes and flushed counters included (see [`SweepEvent`]).
+///
+/// The merged report carries, beyond [`SweepEngine::run_batched`]'s
+/// `sweep.*` families:
+///
+/// * the `amsim.*` solver counters and `amsim.batch.{lanes,
+///   masked_iterations}`;
+/// * `sweep.scenarios.{ok,failed,panicked,budget}` (all four always
+///   present), plus `sweep.scenarios.recovered` when the ladder is on;
+/// * `sweep.tree.forks` (segments that completed and fanned out) and
+///   `sweep.tree.prefix_steps_saved` (nominal steps a flat sweep would
+///   have re-simulated: `Σ steps · (leaves_below − 1)` over forked
+///   segments), with `amsim.snapshot.{taken,restored}`;
+/// * with recovery, `recovery.attempts.*`, `recovery.recovered.*`,
+///   `recovery.gave_up` and, in a `fault-inject` build, `fault.injected.*`.
+///
+/// `sweep.scenarios` counts leaves.
 ///
 /// # Errors
 ///
 /// [`AmsError::InvalidTolerance`] / [`AmsError::InvalidStepControl`] if
-/// any scenario's override is ill-formed (checked up front, before any
-/// worker starts — configuration mistakes are the caller's bug and fail
-/// the sweep; only *runtime* faults are isolated).
-pub fn run_ams_sweep(
+/// any root's override is ill-formed for the model's `dt` or the recovery
+/// fallback's (checked up front, before any worker starts —
+/// configuration mistakes are the caller's bug and fail the sweep; only
+/// *runtime* faults are isolated).
+pub fn run_ams_sweep<O>(
     engine: &SweepEngine,
     model: &Arc<CompiledModel>,
-    scenarios: &[AmsScenario],
-    budget: &ScenarioBudget,
-) -> Result<SweepOutcome<ScenarioOutcome<AmsRun, AmsError>>, AmsError> {
-    Forest::of_scenarios(scenarios).check(&[model.dt()])?;
-    let dt = model.dt();
-    let n_inputs = model.input_names().len();
-    Ok(engine.run_isolated(scenarios, budget, move |ctx, sc| {
-        let mut builder = model.instance_builder().collector(ctx.obs.clone());
-        if let Some(tol) = sc.newton_tol {
-            builder = builder.newton_tol(tol);
-        }
-        if let Some(ctrl) = sc.step_control {
-            builder = builder.step_control(ctrl);
-        }
-        let mut inst = builder.build().expect("overrides validated up front");
-        let mut inputs = vec![0.0; n_inputs];
-        let mut waveform = Vec::with_capacity(sc.steps);
-        for k in 0..sc.steps {
-            ctx.tick(1)?;
-            let u = sc.stim.value(k as f64 * dt);
-            inputs.iter_mut().for_each(|v| *v = u);
-            inst.try_step(&inputs).map_err(SweepFault::Error)?;
-            waveform.push(inst.output(0));
-        }
-        let newton_iters = inst.newton_iterations();
-        inst.flush_counters();
-        Ok(AmsRun {
-            name: sc.name.clone(),
-            waveform,
-            newton_iters,
-        })
-    }))
+    tree: &ScenarioTree,
+    options: &SweepOptions,
+    observe: O,
+) -> Result<SweepOutcome<ScenarioOutcome<AmsRun, AmsError>>, AmsError>
+where
+    O: FnMut(SweepEvent<'_, ScenarioOutcome<AmsRun, AmsError>>),
+{
+    Forest::of_tree(tree).run(engine, model, options, observe)
 }
 
-/// Sweeps `scenarios` over one shared compiled Verilog-AMS model in
-/// **lane-blocks** of up to `lane_width` scenarios per
-/// [`amsim::BatchInstance`] (threads × lanes): each worker advances a
-/// whole block per batched bytecode pass instead of one scenario at a
-/// time.
-///
-/// This is [`run_ams_sweep_recovering`] with the recovery ladder off
-/// (`max_recoveries: 0`): the scenarios run through the one lane-block
-/// driver as a depth-1 forest, every scenario a childless root.
-///
-/// Every lane's waveform is **bit-identical** to the same scenario under
-/// [`run_ams_sweep`] — the batch performs the scalar path's IEEE ops in
-/// the scalar order, per lane — so `lane_width` (like the worker count)
-/// is a pure performance knob. Fault isolation is per **lane**: a lane
-/// that fails Newton is retired by the batch with its typed
-/// [`AmsError`], a panicking stimulus is caught around that lane's
-/// sample alone, and the shared `budget` is accounted per lane
-/// ([`ScenarioBudget::check`]) — siblings in the same block finish
-/// normally in all three cases. `max_wall` is charged per lane too:
-/// stimulus-sampling time goes to the sampling lane alone and each
-/// batched solve's time is split evenly over the lanes that entered it,
-/// so a slow sibling cannot trip a healthy lane's wall cap.
-///
-/// The merged report carries the scalar sweep's `amsim.*` and
-/// `sweep.scenarios.{ok,failed,panicked,budget}` families plus the
-/// batch counters `amsim.batch.{lanes,masked_iterations}` and
-/// `sweep.batch.blocks`.
+/// [`run_ams_sweep`] of a flat scenario list, with no recovery and no
+/// observer. Kept for the `perf` benchmark until it calls
+/// [`run_ams_sweep`] itself.
 ///
 /// # Errors
 ///
-/// As for [`run_ams_sweep`]: ill-formed per-scenario overrides fail the
-/// sweep up front, before any worker starts.
+/// As for [`run_ams_sweep`].
 pub fn run_ams_sweep_batched(
     engine: &SweepEngine,
     model: &Arc<CompiledModel>,
@@ -979,14 +828,12 @@ pub fn run_ams_sweep_batched(
     run_ams_sweep_batched_with(engine, model, scenarios, lane_width, budget, |_| {})
 }
 
-/// [`run_ams_sweep_batched`] with an incremental result observer:
-/// `observe` fires once per finished lane-block with that block's
-/// [`ScenarioOutcome`]s and its counter snapshot, before the final
-/// merge (see [`SweepEvent`]). The driver flushes the block's batch
-/// instance counters **before** the event, so its report already
-/// contains every lane's partial `amsim.*` counters — including lanes
-/// that faulted, panicked, or tripped the budget mid-block (the
-/// `Drop`-flush guarantee merged reports have, extended to the stream).
+/// [`run_ams_sweep`] of a flat scenario list, with no recovery. Kept for
+/// the `perf` benchmark until it calls [`run_ams_sweep`] itself.
+///
+/// # Errors
+///
+/// As for [`run_ams_sweep`].
 pub fn run_ams_sweep_batched_with<O>(
     engine: &SweepEngine,
     model: &Arc<CompiledModel>,
@@ -998,15 +845,33 @@ pub fn run_ams_sweep_batched_with<O>(
 where
     O: FnMut(SweepEvent<'_, ScenarioOutcome<AmsRun, AmsError>>),
 {
-    run_ams_sweep_recovering_with(
-        engine,
-        model,
-        scenarios,
+    let options = SweepOptions {
         lane_width,
-        budget,
-        &Recovery::disabled(),
-        observe,
-    )
+        budget: *budget,
+        recovery: None,
+    };
+    Forest::of_scenarios(scenarios).run(engine, model, &options, observe)
+}
+
+/// [`run_ams_sweep`] with no recovery and no observer. Kept for the
+/// `perf` benchmark until it calls [`run_ams_sweep`] itself.
+///
+/// # Errors
+///
+/// As for [`run_ams_sweep`].
+pub fn run_ams_sweep_tree(
+    engine: &SweepEngine,
+    model: &Arc<CompiledModel>,
+    tree: &ScenarioTree,
+    lane_width: usize,
+    budget: &ScenarioBudget,
+) -> Result<SweepOutcome<ScenarioOutcome<AmsRun, AmsError>>, AmsError> {
+    let options = SweepOptions {
+        lane_width,
+        budget: *budget,
+        recovery: None,
+    };
+    run_ams_sweep(engine, model, tree, &options, |_| {})
 }
 
 // ----------------------------------------------------- scenario trees
@@ -1033,7 +898,7 @@ pub struct ScenarioSegment {
 /// overrides for **every** path below it. Overrides are per root by
 /// construction — forked lanes inherit them through the snapshot, so a
 /// path cannot change tolerance or step policy mid-run (which would
-/// break bit-identity with the flat sweep).
+/// break bit-identity with the same path run from `t = 0`).
 pub struct TreeScenario {
     /// Newton tolerance override; `None` keeps the model's tolerance.
     pub newton_tol: Option<f64>,
@@ -1043,14 +908,13 @@ pub struct TreeScenario {
     pub segment: ScenarioSegment,
 }
 
-/// A forest of stimulus segments for [`run_ams_sweep_tree`]: shared
-/// prefixes are simulated **once** and children fork from a snapshot at
-/// each segment boundary.
+/// A forest of stimulus segments for [`run_ams_sweep`]: shared prefixes
+/// are simulated **once** and children fork from a snapshot at each
+/// segment boundary.
 ///
 /// Leaves are indexed depth-first, left to right — result slot `i` of
-/// the tree sweep is the `i`-th leaf in that order. A flat
-/// `Vec<AmsScenario>` converts into the equivalent depth-1 forest via
-/// `From`, making the tree API a strict superset of the flat one.
+/// the sweep is the `i`-th leaf in that order. A flat `Vec<AmsScenario>`
+/// converts into the equivalent depth-1 forest via `From`.
 pub struct ScenarioTree {
     /// The independent root scenarios.
     pub roots: Vec<TreeScenario>,
@@ -1062,7 +926,7 @@ impl ScenarioTree {
         Forest::of_tree(self).nodes.len()
     }
 
-    /// Total leaves — the number of result slots a tree sweep produces.
+    /// Total leaves — the number of result slots a sweep produces.
     pub fn leaf_count(&self) -> usize {
         Forest::of_tree(self).leaves
     }
@@ -1070,9 +934,7 @@ impl ScenarioTree {
 
 impl From<Vec<AmsScenario>> for ScenarioTree {
     /// A flat scenario list is a depth-1 forest: every scenario becomes
-    /// a childless root, so [`run_ams_sweep_tree`] degenerates to the
-    /// flat batched sweep (same results, same per-scenario budget
-    /// accounting, leaf order = input order).
+    /// a childless root (leaf order = input order).
     fn from(scenarios: Vec<AmsScenario>) -> ScenarioTree {
         ScenarioTree {
             roots: scenarios
@@ -1090,69 +952,6 @@ impl From<Vec<AmsScenario>> for ScenarioTree {
                 .collect(),
         }
     }
-}
-
-/// Sweeps a [`ScenarioTree`] over one shared compiled Verilog-AMS model,
-/// simulating every shared prefix **once**: a segment with children runs
-/// as a single lane, snapshots at its end
-/// ([`BatchInstance::snapshot_lane`]), and fans the children out into
-/// fresh lane-blocks seeded from that checkpoint
-/// ([`BatchInstance::fork_from`]). Subtrees are work-stolen by the
-/// engine's pool, so independent branches simulate concurrently.
-///
-/// Results land in **leaf order** (depth-first, left to right), one
-/// [`ScenarioOutcome`] per leaf. Every leaf's waveform is
-/// **bit-identical** to the same root-to-leaf path simulated flat from
-/// `t = 0` — the snapshot replays the exact ddt/idt history, adaptive-dt
-/// state and factorization validity, and stimuli are sampled at absolute
-/// time — so tree structure (like `lane_width` and the worker count) is
-/// a pure performance knob. The flat sweeps run through the same driver
-/// as depth-1 forests, so a flat `Vec<AmsScenario>` converted via
-/// `ScenarioTree::from` reproduces [`run_ams_sweep_batched`] exactly.
-///
-/// **Budgets** are charged against each lane's own path: a step of a
-/// segment shared by `s` leaves charges `1/s` of a step to the lane
-/// (the flat sweep would have charged it `s` times across those leaves),
-/// and wall time is attributed like the batched sweep — sampling to the
-/// sampling lane, each solve split over its entering lanes — divided by
-/// the same share. A depth-1 tree therefore degenerates to the flat
-/// accounting. **Fault isolation** is per subtree: a fault (Newton,
-/// panic, budget) on a segment retires only that lane and records the
-/// fault in every leaf slot below it; sibling subtrees are untouched.
-///
-/// The merged report carries the batched sweep's families plus
-/// `sweep.tree.nodes` (static segment count),
-/// `sweep.tree.forks` (segments that completed and fanned out) and
-/// `sweep.tree.prefix_steps_saved` (nominal steps the flat sweep would
-/// have re-simulated: `Σ steps · (leaves_below − 1)` over forked
-/// segments), and `amsim.snapshot.{taken,restored}` from the solver
-/// layer. `sweep.scenarios` counts leaves.
-///
-/// # Errors
-///
-/// As for [`run_ams_sweep`]: ill-formed per-root overrides fail the
-/// sweep up front, before any worker starts.
-pub fn run_ams_sweep_tree(
-    engine: &SweepEngine,
-    model: &Arc<CompiledModel>,
-    tree: &ScenarioTree,
-    lane_width: usize,
-    budget: &ScenarioBudget,
-) -> Result<SweepOutcome<ScenarioOutcome<AmsRun, AmsError>>, AmsError> {
-    let forest = Forest::of_tree(tree);
-    forest.check(&[model.dt()])?;
-    let mut out = forest.run(
-        engine,
-        model,
-        lane_width,
-        budget,
-        &Recovery::disabled(),
-        |_| {},
-    );
-    out.report
-        .counters
-        .insert("sweep.tree.nodes".to_string(), forest.nodes.len() as u64);
-    Ok(out)
 }
 
 // ------------------------------------------------- the lane-block driver
@@ -1318,7 +1117,7 @@ fn path_waveform(prefix: &Option<Arc<WaveSeg>>, own: Vec<f64>, path_len: usize) 
 
 /// Why a lane stopped early. Recorded once on the faulting lane; every
 /// leaf below it gets the matching outcome, unless the recovery ladder
-/// takes a `Failed` or `Panicked` lane over.
+/// takes a `Failed` or `Panicked` whole-scenario lane over.
 enum LaneFault {
     Failed(AmsError),
     Panicked(String),
@@ -1353,12 +1152,15 @@ struct LaneRun<'a> {
     wall: f64,
     /// Whether the lane entered the current batched solve.
     in_solve: bool,
+    /// Whether the lane is a whole scenario from `t = 0` (a childless
+    /// root), the only kind the recovery ladder takes over.
+    whole: bool,
     /// Last periodic checkpoint, with the waveform length at capture
     /// time (= the nominal step the resume rung restarts at).
     checkpoint: Option<(Snapshot, usize)>,
-    /// The fault plan's pick, keyed by the lane's first leaf (the
-    /// scenario index at depth 1) so the same scenarios fault at any
-    /// lane width; always `None` unless `fault-inject` is compiled in.
+    /// The fault plan's pick for a whole-scenario lane, keyed by its leaf
+    /// index so the same scenarios fault at any lane width; always `None`
+    /// unless `fault-inject` is compiled in.
     plan: Option<FaultSpec>,
 }
 
@@ -1407,38 +1209,39 @@ struct Driver<'a> {
     nodes: &'a [FlatNode<'a>],
     lane_width: usize,
     budget: &'a ScenarioBudget,
-    recovery: &'a Recovery,
+    recovery: Option<&'a Recovery>,
 }
 
 impl Forest<'_> {
-    /// The one lane-block driver behind every batched AMS sweep: flat
-    /// sweeps are depth-1 forests, the plain batched sweep is the
-    /// recovering one with the ladder off, and tree sweeps fork shared
-    /// prefixes. Root chunks of up to `lane_width` roots seed the pool; a
-    /// job that finishes a shared segment pushes its children's chunks.
+    /// The one lane-block driver behind every AMS sweep: flat sweeps are
+    /// depth-1 forests, and deeper forests fork shared prefixes. Checks
+    /// the overrides, then seeds the pool with root chunks of up to
+    /// `lane_width` roots; a job that finishes a shared segment pushes its
+    /// children's chunks.
     ///
-    /// Results land in leaf order. A job's report is attached at its first
-    /// node's first leaf, and `observe` fires on the caller's thread once per
-    /// maximal run of consecutive leaves a job resolves, with the job's
-    /// report on the first event (one event per lane-block at depth 1).
+    /// Results land in leaf order, and job reports merge in first-node
+    /// order. `observe` fires on the caller's thread once per maximal run
+    /// of consecutive leaves a job resolves, with the job's report on the
+    /// first event (one event per lane-block at depth 1).
     fn run<O>(
         &self,
         engine: &SweepEngine,
         model: &Arc<CompiledModel>,
-        lane_width: usize,
-        budget: &ScenarioBudget,
-        recovery: &Recovery,
+        options: &SweepOptions,
         observe: O,
-    ) -> SweepOutcome<ScenarioOutcome<AmsRun, AmsError>>
+    ) -> Result<SweepOutcome<ScenarioOutcome<AmsRun, AmsError>>, AmsError>
     where
         O: FnMut(SweepEvent<'_, ScenarioOutcome<AmsRun, AmsError>>),
     {
-        let lane_width = lane_width.max(1);
+        let recovery = options.recovery.as_ref();
+        let fallback = recovery.and_then(|r| r.fallback.as_ref());
+        self.check(&[model.dt(), fallback.map_or(model.dt(), |fb| fb.dt())])?;
+        let lane_width = options.lane_width.max(1);
         let driver = Driver {
             model,
             nodes: &self.nodes,
             lane_width,
-            budget,
+            budget: &options.budget,
             recovery,
         };
         // Seed the pool with root chunks; running jobs push the forks.
@@ -1454,29 +1257,24 @@ impl Forest<'_> {
             })
             .collect();
         let run = |job: Job, obs: &Obs| {
-            let key = job.nodes[0];
             let (runs, forks) = driver.run_job(&job, obs);
             JobOutput {
-                key,
-                slot: self.nodes[key].first_leaf,
+                key: job.nodes[0],
                 runs,
                 forks,
             }
         };
-        let workers = engine.worker_count();
-        let mut out = run_pool(workers, self.leaves, true, roots, run, observe);
-        // Same stable fault-tally schema as the scalar isolated sweep.
-        merge_fault_tally(&mut out.report, &out.results, driver.ladder());
-        out
+        let mut out = run_pool(engine.worker_count(), self.leaves, roots, run, observe);
+        let ladder = driver.ladder().is_some();
+        OutcomeTally::of(&out.results).merge_into(&mut out.report, "sweep.scenarios", ladder);
+        Ok(out)
     }
 }
 
 impl Driver<'_> {
-    /// Whether faulted lanes climb the recovery ladder. Only the flat
-    /// recovering sweep enables it, so a laddered lane is always a whole
-    /// scenario run from `t = 0`.
-    fn ladder(&self) -> bool {
-        self.recovery.policy.max_recoveries > 0
+    /// The recovery policy, when its ladder is on (`max_recoveries > 0`).
+    fn ladder(&self) -> Option<&Recovery> {
+        self.recovery.filter(|r| r.policy.max_recoveries > 0)
     }
 
     /// Runs one [`Job`]: steps its sibling segments as a lane-block, then
@@ -1505,17 +1303,16 @@ impl Driver<'_> {
         let dt = self.model.dt();
         let budget = self.budget;
         let track_wall = budget.wall_cap().is_some();
-        let snap_every = if self.ladder() {
-            self.recovery.policy.snapshot_every_n_steps
-        } else {
-            0
-        };
-        let cancel = self.recovery.cancel.as_deref();
+        let snap_every = self.ladder().map_or(0, |r| r.policy.snapshot_every_n_steps);
+        let cancel = self.recovery.and_then(|r| r.cancel.as_deref());
         let mut lanes: Vec<LaneRun<'_>> = job
             .nodes
             .iter()
             .map(|&id| {
                 let node = &self.nodes[id];
+                // The ladder, its checkpoints and the fault plan act on
+                // whole scenarios from `t = 0` only: childless roots.
+                let whole = job.snap.is_none() && node.children.is_empty();
                 LaneRun {
                     node,
                     waveform: Vec::with_capacity(node.steps),
@@ -1523,14 +1320,12 @@ impl Driver<'_> {
                     charged: job.charged,
                     wall: job.wall,
                     in_solve: false,
+                    whole,
                     checkpoint: None,
-                    plan: if cfg!(feature = "fault-inject") {
-                        self.recovery
-                            .plan
-                            .fault_for(node.first_leaf, node.steps as u64)
-                    } else {
-                        None
-                    },
+                    plan: self
+                        .recovery
+                        .filter(|_| cfg!(feature = "fault-inject") && whole)
+                        .and_then(|r| r.plan.fault_for(node.first_leaf, node.steps as u64)),
                 }
             })
             .collect();
@@ -1647,7 +1442,8 @@ impl Driver<'_> {
             // bit-identical to a run without them.
             if snap_every > 0 && (k as u64 + 1).is_multiple_of(snap_every) {
                 for (l, lane) in lanes.iter_mut().enumerate() {
-                    if k + 1 < lane.node.steps && lane.fault.is_none() && batch.lane_active(l) {
+                    let live = lane.fault.is_none() && batch.lane_active(l);
+                    if lane.whole && k + 1 < lane.node.steps && live {
                         lane.checkpoint = Some((batch.snapshot_lane(l), lane.waveform.len()));
                     }
                 }
@@ -1662,20 +1458,20 @@ impl Driver<'_> {
                 .fault
                 .take()
                 .or_else(|| batch.lane_error(l).map(|e| LaneFault::Failed(e.clone())));
-            match fault {
+            match (fault, self.ladder().filter(|_| lane.whole)) {
                 // Budget verdicts (cancellations included) are final.
-                Some(fault @ (LaneFault::Failed(_) | LaneFault::Panicked(_))) if self.ladder() => {
-                    let outcome = recovery::run_ladder(self, lane, fault, obs);
+                (Some(fault @ (LaneFault::Failed(_) | LaneFault::Panicked(_))), Some(recovery)) => {
+                    let outcome = recovery::run_ladder(self, recovery, lane, fault, obs);
                     push_leaf(&mut runs, node.first_leaf, outcome);
                 }
                 // A fault retires the whole subtree: every leaf below
                 // gets the record, and no children are forked.
-                Some(fault) => {
+                (Some(fault), _) => {
                     for leaf in node.first_leaf..node.first_leaf + node.leaves_below {
                         push_leaf(&mut runs, leaf, fault.outcome());
                     }
                 }
-                None if node.children.is_empty() => {
+                (None, _) if node.children.is_empty() => {
                     let run = AmsRun {
                         name: node.name.to_string(),
                         waveform: path_waveform(
@@ -1690,7 +1486,7 @@ impl Driver<'_> {
                     };
                     push_leaf(&mut runs, node.first_leaf, ScenarioOutcome::Ok(run));
                 }
-                None => {
+                (None, _) => {
                     // Healthy internal segment: checkpoint once, fan
                     // children out.
                     let snap = Arc::new(batch.snapshot_lane(l));
@@ -1744,18 +1540,13 @@ mod tests {
     fn runs_every_scenario_exactly_once_in_order() {
         let engine = SweepEngine::new().workers(3);
         let scenarios: Vec<u64> = (0..17).collect();
-        let out = engine.run_isolated::<_, _, (), _>(
-            &scenarios,
-            &ScenarioBudget::unlimited(),
-            |ctx, s| {
-                ctx.obs.add("touched", 1);
-                Ok((*s, s * 2))
-            },
-        );
+        let out = engine.run_batched(&scenarios, 1, |obs, block| {
+            obs.add("touched", 1);
+            block.iter().map(|s| (*s, s * 2)).collect()
+        });
         assert_eq!(out.workers, 3);
         assert_eq!(out.results.len(), 17);
-        for (i, r) in out.results.iter().enumerate() {
-            let (s, doubled) = r.ok().expect("healthy slot");
+        for (i, (s, doubled)) in out.results.iter().enumerate() {
             assert_eq!(*s, i as u64, "slot {i} holds another scenario's result");
             assert_eq!(*doubled, 2 * i as u64);
         }
@@ -1766,7 +1557,7 @@ mod tests {
             .map(|w| out.report.counter(&format!("sweep.worker.{w}.scenarios")))
             .sum();
         assert_eq!(per_worker, 17);
-        assert_eq!(out.report.timers["sweep.scenario"].count, 17);
+        assert_eq!(out.report.timers["sweep.block"].count, 17);
         assert_eq!(out.report.timers["sweep.wall"].count, 1);
     }
 
@@ -1785,31 +1576,28 @@ mod tests {
     fn empty_sweep_is_fine() {
         let engine = SweepEngine::new().workers(2);
         let scenarios: [u8; 0] = [];
-        let out = engine.run_isolated::<_, u8, (), _>(
-            &scenarios,
-            &ScenarioBudget::unlimited(),
-            |_, s| Ok(*s),
-        );
+        let out = engine.run_batched(&scenarios, 4, |_, block| block.to_vec());
         assert!(out.results.is_empty());
         assert_eq!(out.report.counter("sweep.scenarios"), 0);
+        assert_eq!(out.report.counter("sweep.batch.blocks"), 0);
     }
 
-    #[test]
-    fn scenario_reports_stay_separate_and_merge() {
+    /// Options for a plain sweep at `lane_width`: no budget, no recovery.
+    fn lanes(lane_width: usize) -> SweepOptions {
+        SweepOptions {
+            lane_width,
+            ..SweepOptions::default()
+        }
+    }
+
+    /// `scenarios` as a flat sweep: 2 workers, 4 lanes.
+    fn flat_sweep(
+        model: &Arc<CompiledModel>,
+        scenarios: Vec<AmsScenario>,
+    ) -> SweepOutcome<ScenarioOutcome<AmsRun, AmsError>> {
         let engine = SweepEngine::new().workers(2);
-        let scenarios: Vec<u64> = vec![1, 2, 3];
-        let out = engine.run_isolated::<_, _, (), _>(
-            &scenarios,
-            &ScenarioBudget::unlimited(),
-            |ctx, s| {
-                ctx.obs.add("n", *s);
-                Ok(())
-            },
-        );
-        assert_eq!(out.scenario_reports[0].counter("n"), 1);
-        assert_eq!(out.scenario_reports[1].counter("n"), 2);
-        assert_eq!(out.scenario_reports[2].counter("n"), 3);
-        assert_eq!(out.report.counter("n"), 6);
+        let tree = ScenarioTree::from(scenarios);
+        run_ams_sweep(&engine, model, &tree, &lanes(4), |_| {}).unwrap()
     }
 
     #[test]
@@ -1831,11 +1619,13 @@ mod tests {
                 step_control: None,
             })
             .collect();
+        let tree = ScenarioTree::from(scenarios);
         let out = run_ams_sweep(
             &SweepEngine::new().workers(3),
             &model,
-            &scenarios,
-            &ScenarioBudget::unlimited(),
+            &tree,
+            &lanes(1),
+            |_| {},
         )
         .unwrap();
         assert_eq!(out.results.len(), 6);
@@ -1868,11 +1658,13 @@ mod tests {
                 newton_tol: Some(tol),
                 step_control: None,
             }];
+            let tree = ScenarioTree::from(scenarios);
             let err = run_ams_sweep(
                 &SweepEngine::new().workers(1),
                 &model,
-                &scenarios,
-                &ScenarioBudget::unlimited(),
+                &tree,
+                &lanes(1),
+                |_| {},
             );
             assert!(
                 matches!(err, Err(AmsError::InvalidTolerance { .. })),
@@ -1887,106 +1679,22 @@ mod tests {
             newton_tol: None,
             step_control: Some(amsim::StepControl::new(1.0)),
         }];
+        let tree = ScenarioTree::from(scenarios);
         let err = run_ams_sweep(
             &SweepEngine::new().workers(1),
             &model,
-            &scenarios,
-            &ScenarioBudget::unlimited(),
+            &tree,
+            &lanes(1),
+            |_| {},
         );
         assert!(matches!(err, Err(AmsError::InvalidStepControl { .. })));
     }
 
-    #[test]
-    fn panicking_scenario_is_contained() {
-        let engine = SweepEngine::new().workers(4);
-        let scenarios: Vec<u64> = (0..16).collect();
-        let out = engine.run_isolated::<_, _, (), _>(
-            &scenarios,
-            &ScenarioBudget::unlimited(),
-            |ctx, s| {
-                ctx.obs.add("body.entered", 1);
-                if *s == 7 {
-                    panic!("injected failure in scenario {s}");
-                }
-                Ok(s * s)
-            },
-        );
-        assert_eq!(out.results.len(), 16);
-        for (i, r) in out.results.iter().enumerate() {
-            if i == 7 {
-                match r {
-                    ScenarioOutcome::Panicked(msg) => {
-                        assert!(msg.contains("injected failure"), "payload lost: {msg}")
-                    }
-                    other => panic!("slot 7: want Panicked, got {other:?}"),
-                }
-            } else {
-                assert_eq!(*r.ok().expect("healthy slot"), (i * i) as u64);
-            }
-        }
-        assert_eq!(out.report.counter("sweep.scenarios.ok"), 15);
-        assert_eq!(out.report.counter("sweep.scenarios.panicked"), 1);
-        assert_eq!(out.report.counter("sweep.scenarios.failed"), 0);
-        assert_eq!(out.report.counter("sweep.scenarios.budget"), 0);
-        // The panicking body still entered and its obs merged.
-        assert_eq!(out.report.counter("body.entered"), 16);
-    }
-
-    #[test]
-    fn typed_failures_land_in_their_slot() {
-        let engine = SweepEngine::new().workers(2);
-        let scenarios: Vec<u64> = (0..8).collect();
-        let out = engine.run_isolated(&scenarios, &ScenarioBudget::unlimited(), |_, s| {
-            if s % 3 == 0 {
-                Err(SweepFault::Error(format!("no solution for {s}")))
-            } else {
-                Ok(*s)
-            }
-        });
-        let failed: Vec<usize> = out
-            .results
-            .iter()
-            .enumerate()
-            .filter(|(_, r)| matches!(r, ScenarioOutcome::Failed { .. }))
-            .map(|(i, _)| i)
-            .collect();
-        assert_eq!(failed, vec![0, 3, 6]);
-        assert_eq!(out.report.counter("sweep.scenarios.ok"), 5);
-        assert_eq!(out.report.counter("sweep.scenarios.failed"), 3);
-    }
-
-    #[test]
-    fn step_budget_cuts_runaway_scenarios() {
-        let engine = SweepEngine::new().workers(2);
-        let scenarios: Vec<u64> = (0..4).collect();
-        let budget = ScenarioBudget::unlimited().max_steps(10);
-        let out = engine.run_isolated::<_, _, (), _>(&scenarios, &budget, |ctx, s| {
-            // Scenario 2 never stops on its own.
-            let steps = if *s == 2 { u64::MAX } else { 5 };
-            let mut done = 0u64;
-            while done < steps {
-                ctx.tick(1)?;
-                done += 1;
-            }
-            Ok(done)
-        });
-        for (i, r) in out.results.iter().enumerate() {
-            if i == 2 {
-                match r {
-                    ScenarioOutcome::Budget(b) => {
-                        assert_eq!(b.steps, 11, "tripped on the first step past the cap");
-                        assert_eq!(b.max_steps, Some(10));
-                    }
-                    other => panic!("slot 2: want Budget, got {other:?}"),
-                }
-            } else {
-                assert_eq!(*r.ok().expect("within budget"), 5);
-            }
-        }
-        assert_eq!(out.report.counter("sweep.scenarios.budget"), 1);
-        assert_eq!(out.report.counter("sweep.scenarios.ok"), 3);
-    }
-
+    /// Lane width and worker count are pure performance knobs: every
+    /// lane-block layout reproduces the one-lane, one-worker sweep (the
+    /// scalar path: `amsim::Instance` is lane 0 of a one-lane batch) bit
+    /// for bit, with the same solver work. A flat list is the depth-1
+    /// forest, so nothing forks.
     #[test]
     fn batched_sweep_matches_scalar_bitwise_for_any_lane_width_and_workers() {
         let module = vams_parser::parse_module(&rc_ladder(2)).unwrap();
@@ -1995,7 +1703,7 @@ mod tests {
             .output("V(out)")
             .compile()
             .unwrap();
-        let mk = || -> Vec<AmsScenario> {
+        let tree = ScenarioTree::from(
             (0..13)
                 .map(|i| AmsScenario {
                     name: format!("s{i}"),
@@ -2004,24 +1712,17 @@ mod tests {
                     newton_tol: if i % 3 == 0 { Some(1e-8) } else { None },
                     step_control: None,
                 })
-                .collect()
+                .collect::<Vec<_>>(),
+        );
+        assert_eq!(tree.node_count(), 13);
+        assert_eq!(tree.leaf_count(), 13);
+        let sweep = |workers: usize, lane_width: usize| {
+            let engine = SweepEngine::new().workers(workers);
+            run_ams_sweep(&engine, &model, &tree, &lanes(lane_width), |_| {}).unwrap()
         };
-        let scalar = run_ams_sweep(
-            &SweepEngine::new().workers(2),
-            &model,
-            &mk(),
-            &ScenarioBudget::unlimited(),
-        )
-        .unwrap();
-        for (lane_width, workers) in [(1usize, 1usize), (4, 2), (8, 8), (13, 3)] {
-            let batched = run_ams_sweep_batched(
-                &SweepEngine::new().workers(workers),
-                &model,
-                &mk(),
-                lane_width,
-                &ScenarioBudget::unlimited(),
-            )
-            .unwrap();
+        let scalar = sweep(1, 1);
+        for (lane_width, workers) in [(1usize, 2usize), (4, 2), (8, 8), (13, 3)] {
+            let batched = sweep(workers, lane_width);
             assert_eq!(
                 batched.report.counter("sweep.batch.blocks"),
                 13u64.div_ceil(lane_width as u64),
@@ -2030,8 +1731,13 @@ mod tests {
             assert_eq!(batched.report.counter("amsim.batch.lanes"), 13);
             assert_eq!(batched.report.counter("sweep.scenarios"), 13);
             assert_eq!(batched.report.counter("sweep.scenarios.ok"), 13);
+            // Depth 1: no shared prefixes, so nothing forks or is saved.
+            assert_eq!(batched.report.counter("sweep.tree.forks"), 0);
+            assert_eq!(batched.report.counter("sweep.tree.prefix_steps_saved"), 0);
+            assert_eq!(batched.report.counter("amsim.snapshot.taken"), 0);
             for (i, (b, s)) in batched.results.iter().zip(&scalar.results).enumerate() {
                 let (b, s) = (b.ok().unwrap(), s.ok().unwrap());
+                assert_eq!(b.name, s.name);
                 assert_eq!(b.newton_iters, s.newton_iters, "scenario {i}");
                 assert_eq!(b.waveform.len(), s.waveform.len());
                 for (k, (x, y)) in b.waveform.iter().zip(&s.waveform).enumerate() {
@@ -2095,12 +1801,11 @@ mod tests {
             })
             .collect();
         let mut events = 0usize;
-        let out = run_ams_sweep_batched_with(
+        let out = run_ams_sweep(
             &SweepEngine::new().workers(1),
             &model,
-            &scenarios,
-            4,
-            &ScenarioBudget::unlimited(),
+            &ScenarioTree::from(scenarios),
+            &lanes(4),
             |ev| {
                 events += 1;
                 assert_eq!(ev.first_index, 0);
@@ -2142,13 +1847,17 @@ mod tests {
                 step_control: None,
             })
             .collect();
-        let budget = ScenarioBudget::unlimited().max_steps(10);
-        let out = run_ams_sweep_batched(
+        let options = SweepOptions {
+            lane_width: 4,
+            budget: ScenarioBudget::unlimited().max_steps(10),
+            recovery: None,
+        };
+        let out = run_ams_sweep(
             &SweepEngine::new().workers(2),
             &model,
-            &scenarios,
-            4,
-            &budget,
+            &ScenarioTree::from(scenarios),
+            &options,
+            |_| {},
         )
         .unwrap();
         match &out.results[1] {
@@ -2185,11 +1894,6 @@ mod tests {
             .sum();
         assert_eq!(per_worker, 11);
         assert_eq!(out.report.timers["sweep.block"].count, 3);
-        // Empty input: no blocks, no results.
-        let empty: [u64; 0] = [];
-        let out = engine.run_batched(&empty, 4, |_, block| block.to_vec());
-        assert!(out.results.is_empty());
-        assert_eq!(out.report.counter("sweep.batch.blocks"), 0);
     }
 
     /// Stimulus that switches sources at `t0` — the flat-run equivalent
@@ -2364,88 +2068,18 @@ mod tests {
     }
 
     #[test]
-    fn tree_sweep_depth1_conversion_matches_batched_sweep_bitwise() {
-        let model = tree_model();
-        let mk = || -> Vec<AmsScenario> {
-            (0..7)
-                .map(|i| AmsScenario {
-                    name: format!("s{i}"),
-                    stim: seg_stim(i as u64 + 1),
-                    steps: 25,
-                    newton_tol: if i % 2 == 0 { Some(1e-8) } else { None },
-                    step_control: None,
-                })
-                .collect()
-        };
-        let flat = run_ams_sweep_batched(
-            &SweepEngine::new().workers(2),
-            &model,
-            &mk(),
-            4,
-            &ScenarioBudget::unlimited(),
-        )
-        .unwrap();
-        let tree = ScenarioTree::from(mk());
-        assert_eq!(tree.node_count(), 7);
-        assert_eq!(tree.leaf_count(), 7);
-        for workers in [1usize, 2, 8] {
-            let out = run_ams_sweep_tree(
-                &SweepEngine::new().workers(workers),
-                &model,
-                &tree,
-                4,
-                &ScenarioBudget::unlimited(),
-            )
-            .unwrap();
-            assert_eq!(out.results.len(), 7);
-            assert_eq!(out.report.counter("sweep.scenarios"), 7);
-            assert_eq!(out.report.counter("sweep.scenarios.ok"), 7);
-            assert_eq!(out.report.counter("sweep.tree.nodes"), 7);
-            // Depth-1: no shared prefixes, so nothing forks or is saved.
-            assert_eq!(out.report.counter("sweep.tree.forks"), 0);
-            assert_eq!(out.report.counter("sweep.tree.prefix_steps_saved"), 0);
-            assert_eq!(out.report.counter("amsim.snapshot.taken"), 0);
-            for (i, (t, f)) in out.results.iter().zip(&flat.results).enumerate() {
-                let (t, f) = (t.ok().unwrap(), f.ok().unwrap());
-                assert_eq!(t.name, f.name);
-                assert_eq!(t.newton_iters, f.newton_iters, "leaf {i}");
-                let tb: Vec<u64> = t.waveform.iter().map(|v| v.to_bits()).collect();
-                let fb: Vec<u64> = f.waveform.iter().map(|v| v.to_bits()).collect();
-                assert_eq!(tb, fb, "leaf {i} at {workers} workers");
-            }
-            for c in ["amsim.steps", "amsim.newton_iterations"] {
-                assert_eq!(out.report.counter(c), flat.report.counter(c), "{c}");
-            }
-        }
-    }
-
-    #[test]
     fn tree_sweep_forked_paths_match_flat_runs_bitwise() {
         let model = tree_model();
-        let flat = run_ams_sweep_batched(
-            &SweepEngine::new().workers(2),
-            &model,
-            &two_level_flat(),
-            4,
-            &ScenarioBudget::unlimited(),
-        )
-        .unwrap();
+        let flat = flat_sweep(&model, two_level_flat());
         let tree = two_level_tree();
         assert_eq!(tree.node_count(), 6);
         assert_eq!(tree.leaf_count(), 4);
         let mut reference: Option<Vec<(String, u64)>> = None;
         for (workers, lane_width) in [(1usize, 1usize), (2, 2), (8, 4)] {
-            let out = run_ams_sweep_tree(
-                &SweepEngine::new().workers(workers),
-                &model,
-                &tree,
-                lane_width,
-                &ScenarioBudget::unlimited(),
-            )
-            .unwrap();
+            let engine = SweepEngine::new().workers(workers);
+            let out = run_ams_sweep(&engine, &model, &tree, &lanes(lane_width), |_| {}).unwrap();
             assert_eq!(out.results.len(), 4);
             assert_eq!(out.report.counter("sweep.scenarios.ok"), 4);
-            assert_eq!(out.report.counter("sweep.tree.nodes"), 6);
             // Two segments fan out: the root (4 leaves below) and c0 (2).
             assert_eq!(out.report.counter("sweep.tree.forks"), 2);
             assert_eq!(
@@ -2489,27 +2123,27 @@ mod tests {
         // A sibling chunk whose middle segment forks: at lane width 4 the
         // chunk [a, b, c] resolves leaves 0 and 3 as two runs, and b's
         // children fill leaves 1 and 2 from a later job.
-        let flat = run_ams_sweep_batched(
-            &SweepEngine::new().workers(2),
+        let flat = flat_sweep(
             &model,
-            &flat_paths(&[
+            flat_paths(&[
                 ("a", 30, None),
                 ("b0", 31, Some(40)),
                 ("b1", 31, Some(41)),
                 ("c", 32, None),
             ]),
-            4,
-            &ScenarioBudget::unlimited(),
-        )
-        .unwrap();
+        );
         let tree = middle_fork_tree();
         for lane_width in [1usize, 4] {
-            let out = run_ams_sweep_tree(
+            let mut events = Vec::new();
+            let out = run_ams_sweep(
                 &SweepEngine::new().workers(2),
                 &model,
                 &tree,
-                lane_width,
-                &ScenarioBudget::unlimited(),
+                &lanes(lane_width),
+                |ev| {
+                    let steps = ev.report.counter("amsim.steps");
+                    events.push((ev.first_index, ev.results.len(), steps));
+                },
             )
             .unwrap();
             assert_eq!(out.report.counter("sweep.scenarios.ok"), 4);
@@ -2521,20 +2155,19 @@ mod tests {
                 let fb: Vec<u64> = f.waveform.iter().map(|v| v.to_bits()).collect();
                 assert_eq!(tb, fb, "leaf {i} at lane width {lane_width}");
             }
-            // Each job's report sits at its first node's first leaf. At
-            // width 1: root+a at leaf 0, b+b0 at 1, b1 at 2, c at 3; at
-            // width 4: root+[a, b, c] at leaf 0 and [b0, b1] at 1.
-            let slot_steps: Vec<u64> = out
-                .scenario_reports
-                .iter()
-                .map(|r| r.counter("amsim.steps"))
-                .collect();
+            // One event per run of leaves a job resolves, with the job's
+            // report on its first run only. Prefix-only jobs (root, and b
+            // at width 1) resolve no leaf and fire no event. At width 4
+            // the chunk [a, b, c] fires for leaf 0 with its 30 steps and
+            // for leaf 3 with an empty report.
+            events.sort_unstable();
             let want = if lane_width == 1 {
-                [20, 20, 10, 10]
+                vec![(0, 1, 10), (1, 1, 10), (2, 1, 10), (3, 1, 10)]
             } else {
-                [40, 20, 0, 0]
+                vec![(0, 1, 30), (1, 2, 20), (3, 1, 0)]
             };
-            assert_eq!(slot_steps, want, "lane width {lane_width}");
+            assert_eq!(events, want, "lane width {lane_width}");
+            assert_eq!(out.report.counter("amsim.steps"), 60);
         }
     }
 
@@ -2571,25 +2204,17 @@ mod tests {
         };
         // A 15-step cap covers the amortized path cost: both leaves pass
         // where the flat 20-step path would have tripped.
-        let out = run_ams_sweep_tree(
-            &SweepEngine::new().workers(2),
-            &model,
-            &tree,
-            2,
-            &ScenarioBudget::unlimited().max_steps(15),
-        )
-        .unwrap();
+        let capped = |steps: u64| SweepOptions {
+            lane_width: 2,
+            budget: ScenarioBudget::unlimited().max_steps(steps),
+            recovery: None,
+        };
+        let engine = SweepEngine::new().workers(2);
+        let out = run_ams_sweep(&engine, &model, &tree, &capped(15), |_| {}).unwrap();
         assert_eq!(out.report.counter("sweep.scenarios.ok"), 2);
         // A cap below the amortized cost still trips — on the lane's own
         // account, not the block clock.
-        let out = run_ams_sweep_tree(
-            &SweepEngine::new().workers(2),
-            &model,
-            &tree,
-            2,
-            &ScenarioBudget::unlimited().max_steps(12),
-        )
-        .unwrap();
+        let out = run_ams_sweep(&engine, &model, &tree, &capped(12), |_| {}).unwrap();
         assert_eq!(out.report.counter("sweep.scenarios.budget"), 2);
         for r in &out.results {
             match r {
@@ -2650,14 +2275,8 @@ mod tests {
             }],
         };
         for workers in [1usize, 2, 8] {
-            let out = run_ams_sweep_tree(
-                &SweepEngine::new().workers(workers),
-                &model,
-                &tree,
-                2,
-                &ScenarioBudget::unlimited(),
-            )
-            .unwrap();
+            let engine = SweepEngine::new().workers(workers);
+            let out = run_ams_sweep(&engine, &model, &tree, &lanes(2), |_| {}).unwrap();
             assert_eq!(out.results.len(), 3);
             for i in [0usize, 1] {
                 match &out.results[i] {
@@ -2677,7 +2296,8 @@ mod tests {
     }
 
     /// A panic that escapes a job's own `catch_unwind` — here a panic
-    /// payload whose `Drop` panics again while the sweep records it, or a
+    /// payload whose `Drop` panics again while the sweep records it (in a
+    /// root job of a flat sweep, or a fork job of a tree), or a
     /// `run_batched` body, which isolates nothing — propagates out of the
     /// sweep instead of leaving the pool's other workers waiting on a job
     /// that never completes.
@@ -2695,28 +2315,34 @@ mod tests {
                 std::panic::panic_any(Bomb)
             }
         }
-        for case in ["batched", "tree", "scalar", "blocks"] {
+        for case in ["flat", "tree", "blocks"] {
             let (tx, rx) = mpsc::channel();
             std::thread::spawn(move || {
                 let model = tree_model();
-                let scenarios = vec![AmsScenario {
+                let bomb = || ScenarioSegment {
                     name: "bomb".into(),
                     stim: Box::new(Detonate),
                     steps: SEG_STEPS,
+                    children: Vec::new(),
+                };
+                let root = |segment| TreeScenario {
                     newton_tol: None,
                     step_control: None,
-                }];
+                    segment,
+                };
                 let engine = SweepEngine::new().workers(2);
-                let budget = ScenarioBudget::unlimited();
                 let swept = catch_unwind(AssertUnwindSafe(|| match case {
-                    "batched" => {
-                        run_ams_sweep_batched(&engine, &model, &scenarios, 1, &budget).map(drop)
+                    "flat" | "tree" => {
+                        let seg = if case == "flat" {
+                            bomb()
+                        } else {
+                            segment("prefix", 99, vec![bomb(), segment("tail", 1, vec![])])
+                        };
+                        let tree = ScenarioTree {
+                            roots: vec![root(seg)],
+                        };
+                        run_ams_sweep(&engine, &model, &tree, &lanes(1), |_| {}).map(drop)
                     }
-                    "tree" => {
-                        let tree = ScenarioTree::from(scenarios);
-                        run_ams_sweep_tree(&engine, &model, &tree, 1, &budget).map(drop)
-                    }
-                    "scalar" => run_ams_sweep(&engine, &model, &scenarios, &budget).map(drop),
                     _ => {
                         let blocks: Vec<usize> = (0..4).collect();
                         engine.run_batched(&blocks, 1, |_, block| {
@@ -2745,16 +2371,10 @@ mod tests {
     fn tree_sweep_empty_forest_is_fine() {
         let model = tree_model();
         let tree = ScenarioTree { roots: Vec::new() };
-        let out = run_ams_sweep_tree(
-            &SweepEngine::new().workers(4),
-            &model,
-            &tree,
-            8,
-            &ScenarioBudget::unlimited(),
-        )
-        .unwrap();
+        let engine = SweepEngine::new().workers(4);
+        let out = run_ams_sweep(&engine, &model, &tree, &lanes(8), |_| {}).unwrap();
         assert!(out.results.is_empty());
         assert_eq!(out.report.counter("sweep.scenarios"), 0);
-        assert_eq!(out.report.counter("sweep.tree.nodes"), 0);
+        assert_eq!(tree.node_count(), 0);
     }
 }

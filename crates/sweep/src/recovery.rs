@@ -1,10 +1,10 @@
 //! Deterministic fault plans and the automatic recovery ladder.
 //!
-//! [`run_ams_sweep_recovering`] is the batched AMS sweep
-//! ([`crate::run_ams_sweep_batched`]) with two seams switched on. Both
-//! run inside the crate's one lane-block driver, which every batched
-//! sweep shares; the plain batched sweep is this one with the ladder
-//! off, and the scenarios run as a depth-1 forest.
+//! Both are seams of the one lane-block driver behind
+//! [`crate::run_ams_sweep`], switched on by [`crate::SweepOptions::recovery`].
+//! They act on whole scenarios from `t = 0` only — childless roots,
+//! which is every lane of a flat sweep. A fault on a shared prefix or a
+//! forked segment of a deeper forest stays final.
 //!
 //! * **Fault injection** ([`FaultPlan`]): planned failures — a poisoned
 //!   residual, a singular/non-finite refactorization, a panicking or
@@ -35,10 +35,9 @@
 //!   Rungs that don't apply (no checkpoint yet, no fallback configured)
 //!   are skipped; the ladder is truncated to
 //!   [`RecoveryPolicy::max_recoveries`] attempts. Every replayed step
-//!   is charged against the same per-lane [`ScenarioBudget`] account as
-//!   the nominal run, so recovery cannot spend past the caps. Only this
-//!   flat entry point enables the ladder, so a laddered lane is always a
-//!   whole scenario from `t = 0`.
+//!   is charged against the same per-lane [`crate::ScenarioBudget`] account as
+//!   the nominal run, so recovery cannot spend past the caps. Budget
+//!   trips are never laddered: the budget is the outer cap.
 //!
 //! A scenario rescued at rung *r* reports
 //! [`ScenarioOutcome::Recovered`] with a waveform **bit-identical** to
@@ -57,10 +56,7 @@ use std::time::Instant;
 use amsim::{AmsError, CompiledModel, RecoveryPolicy};
 use obs::Obs;
 
-use crate::{
-    panic_message, AmsRun, AmsScenario, BudgetExceeded, Driver, Forest, LaneFault, LaneRun,
-    ScenarioBudget, ScenarioOutcome, SweepEngine, SweepEvent, SweepOutcome,
-};
+use crate::{panic_message, AmsRun, BudgetExceeded, Driver, LaneFault, LaneRun, ScenarioOutcome};
 
 // ------------------------------------------------------------ fault plans
 
@@ -230,26 +226,37 @@ pub struct RecoveryAttempt {
     pub error: String,
 }
 
-/// Configuration for [`run_ams_sweep_recovering`]: ladder policy,
-/// fallback backend, fault plan, and an external kill switch.
+/// The recovery seams of one sweep ([`crate::SweepOptions::recovery`]):
+/// ladder policy, fallback backend, fault plan, and an external kill
+/// switch.
 ///
 /// The default — ladder enabled with [`RecoveryPolicy::default`], no
 /// fallback, empty plan, no cancel token — recovers via resume/restart
-/// only and injects nothing.
+/// only and injects nothing. A rescued scenario reports
+/// [`ScenarioOutcome::Recovered`] with the rescuing rung and the attempt
+/// trail; one that exhausts every rung reports `Failed` with the trail.
+/// On top of the plain sweep's counters, the merged report tallies
+/// `sweep.scenarios.recovered` (ladder on only),
+/// `recovery.attempts.{resume,restart,backend}`,
+/// `recovery.recovered.{resume,restart,backend}`, `recovery.gave_up`,
+/// and — with the `fault-inject` feature — `fault.injected.*`, all
+/// merged in key order, so the report is scheduling-independent.
 #[derive(Clone, Default)]
 pub struct Recovery {
     /// Snapshot cadence, rung budget, and tightening knobs.
     /// `max_recoveries == 0` disables the ladder *and* periodic
-    /// checkpoints, reducing the sweep to [`crate::run_ams_sweep_batched`]
-    /// exactly (bit-identical results and report).
+    /// checkpoints, leaving the fault plan and the kill switch: with an
+    /// empty plan, results and report are bit-identical to a sweep
+    /// without recovery.
     pub policy: RecoveryPolicy,
     /// Model the backend rung re-runs on — typically the same circuit
     /// recompiled onto the dense solver. Must share the nominal `dt`
     /// and input/output interface with the primary model; `None` skips
     /// the rung.
     pub fallback: Option<Arc<CompiledModel>>,
-    /// Deterministic fault plan. Carried (and parseable) always; armed
-    /// only when the `fault-inject` feature is compiled in.
+    /// Deterministic fault plan over leaf indices. Carried (and
+    /// parseable) always; armed only when the `fault-inject` feature is
+    /// compiled in, and only on whole-scenario lanes.
     pub plan: FaultPlan,
     /// Cooperative kill switch: once set, every still-running lane —
     /// nominal or mid-rung — is cut with a [`ScenarioOutcome::Budget`]
@@ -258,101 +265,16 @@ pub struct Recovery {
     pub cancel: Option<Arc<AtomicBool>>,
 }
 
-impl Recovery {
-    /// The ladder off (`max_recoveries: 0`, so no periodic checkpoints
-    /// either), no fallback, an empty plan and no cancel token: what the
-    /// plain batched and tree sweeps run with.
-    pub(crate) fn disabled() -> Recovery {
-        Recovery {
-            policy: RecoveryPolicy {
-                max_recoveries: 0,
-                ..RecoveryPolicy::default()
-            },
-            ..Recovery::default()
-        }
-    }
-}
-
-/// [`run_ams_sweep_batched`](crate::run_ams_sweep_batched) with
-/// deterministic fault injection and the automatic recovery ladder.
-///
-/// Healthy scenarios behave exactly like the plain batched sweep (same
-/// bit-identical waveforms, plus periodic checkpoints when the ladder
-/// is enabled). A lane that faults with a typed error or a panic is
-/// escalated through the ladder (see the module docs); the outcome is
-/// [`ScenarioOutcome::Recovered`] on success — carrying the rescuing
-/// rung and the full attempt trail — or [`ScenarioOutcome::Failed`]
-/// with the trail once every rung is exhausted. Budget trips are never
-/// laddered: the budget is the outer cap, and recovery work itself is
-/// charged against the same per-lane account.
-///
-/// On top of the batched sweep's counter families, the merged report
-/// tallies `sweep.scenarios.recovered` (ladder enabled only),
-/// `recovery.attempts.{resume,restart,backend}`,
-/// `recovery.recovered.{resume,restart,backend}`, `recovery.gave_up`,
-/// and — with the `fault-inject` feature — `fault.injected.*`. All are
-/// per-block counters merged in scenario-index order, so the report is
-/// scheduling-independent.
-///
-/// # Errors
-///
-/// As for [`run_ams_sweep`](crate::run_ams_sweep): ill-formed
-/// per-scenario overrides fail the sweep up front (validated against
-/// the fallback model's `dt` too, so a backend rung can never fail on
-/// configuration).
-pub fn run_ams_sweep_recovering(
-    engine: &SweepEngine,
-    model: &Arc<CompiledModel>,
-    scenarios: &[AmsScenario],
-    lane_width: usize,
-    budget: &ScenarioBudget,
-    recovery: &Recovery,
-) -> Result<SweepOutcome<ScenarioOutcome<AmsRun, AmsError>>, AmsError> {
-    run_ams_sweep_recovering_with(
-        engine,
-        model,
-        scenarios,
-        lane_width,
-        budget,
-        recovery,
-        |_| {},
-    )
-}
-
-/// [`run_ams_sweep_recovering`] with an incremental result observer:
-/// `observe` fires once per finished lane-block — recovery already
-/// applied, counters already flushed — so a streaming consumer sees
-/// `Recovered` outcomes exactly like terminal ones (see
-/// [`SweepEvent`]).
-#[allow(clippy::too_many_arguments)]
-pub fn run_ams_sweep_recovering_with<O>(
-    engine: &SweepEngine,
-    model: &Arc<CompiledModel>,
-    scenarios: &[AmsScenario],
-    lane_width: usize,
-    budget: &ScenarioBudget,
-    recovery: &Recovery,
-    observe: O,
-) -> Result<SweepOutcome<ScenarioOutcome<AmsRun, AmsError>>, AmsError>
-where
-    O: FnMut(SweepEvent<'_, ScenarioOutcome<AmsRun, AmsError>>),
-{
-    let forest = Forest::of_scenarios(scenarios);
-    let fallback_dt = recovery.fallback.as_ref().map_or(model.dt(), |fb| fb.dt());
-    forest.check(&[model.dt(), fallback_dt])?;
-    Ok(forest.run(engine, model, lane_width, budget, recovery, observe))
-}
-
 /// Escalates one faulted lane through the applicable rungs; returns the
 /// lane's final outcome. `seed` is the lane's original fault (a typed
 /// error or a panic; budget verdicts are never laddered).
 pub(crate) fn run_ladder(
     driver: &Driver<'_>,
+    recovery: &Recovery,
     lane: &mut LaneRun<'_>,
     seed: LaneFault,
     obs: &Obs,
 ) -> ScenarioOutcome<AmsRun, AmsError> {
-    let recovery = driver.recovery;
     let mut attempts = vec![RecoveryAttempt {
         rung: None,
         error: match &seed {
@@ -373,7 +295,9 @@ pub(crate) fn run_ladder(
 
     for rung in rungs {
         obs.add(&format!("recovery.attempts.{}", rung.name()), 1);
-        match catch_unwind(AssertUnwindSafe(|| replay_rung(driver, rung, lane, obs))) {
+        match catch_unwind(AssertUnwindSafe(|| {
+            replay_rung(driver, recovery, rung, lane, obs)
+        })) {
             Ok(Ok(run)) => {
                 obs.add(&format!("recovery.recovered.{}", rung.name()), 1);
                 return ScenarioOutcome::Recovered {
@@ -419,11 +343,11 @@ enum RungFault {
 /// solver) propagate to the `catch_unwind` in [`run_ladder`].
 fn replay_rung(
     driver: &Driver<'_>,
+    recovery: &Recovery,
     rung: RecoveryRung,
     lane: &mut LaneRun<'_>,
     obs: &Obs,
 ) -> Result<AmsRun, RungFault> {
-    let recovery = driver.recovery;
     let model = match rung {
         RecoveryRung::Backend => recovery
             .fallback

@@ -12,9 +12,8 @@
 //!   corpus),
 //! * a lane-batched [`amsim::BatchInstance`] carrying all scenarios of a
 //!   circuit at once,
-//! * [`sweep::run_ams_sweep`] at 1, 2, and 8 workers,
-//! * [`sweep::run_ams_sweep_batched`] at 1, 2, and 8 workers with a
-//!   lane width that splits the scenarios unevenly.
+//! * [`sweep::run_ams_sweep`] in one-lane blocks at 1, 2, and 8
+//!   workers, and with a lane width that splits the scenarios unevenly.
 //!
 //! A drift in any of them — an optimization that reorders IEEE ops, a
 //! scheduling leak into numerics, a solver change that silently alters
@@ -44,7 +43,7 @@ use amsim::{CompiledModel, Simulation, StepControl};
 use amsvp_core::circuits::{
     diode_clamp, opamp, rc_ladder, two_inputs, PiecewiseConstant, SquareWave,
 };
-use sweep::{run_ams_sweep, run_ams_sweep_tree, AmsScenario, ScenarioBudget, SweepEngine};
+use sweep::{run_ams_sweep, AmsScenario, ScenarioTree, SweepEngine, SweepOptions};
 use vp::{monitor_firmware, run_fleet, DeviceScenario, Firmware, FleetConfig};
 
 const STEPS: usize = 60;
@@ -146,7 +145,7 @@ fn scenarios(c: &Circuit) -> Vec<AmsScenario> {
 
 /// The scalar reference path: one [`amsim::Instance`] per scenario, the
 /// stimulus broadcast to every model input — exactly the arithmetic
-/// `run_ams_sweep` performs per scenario.
+/// `run_ams_sweep` performs per lane.
 fn scalar_waveforms(c: &Circuit, model: &Arc<CompiledModel>) -> Vec<Vec<u64>> {
     let n_inputs = model.input_names().len();
     (0..N_SCENARIOS)
@@ -289,56 +288,43 @@ fn all_execution_modes_reproduce_the_golden_corpus() {
         assert_waves_eq(c.label, "batch", &batched_waveforms(&c, &model), &golden);
 
         for workers in WORKER_COUNTS {
-            let engine = SweepEngine::new().workers(workers);
-            let swept = run_ams_sweep(
-                &engine,
-                &model,
-                &scenarios(&c),
-                &ScenarioBudget::unlimited(),
-            )
-            .unwrap();
-            let waves: Vec<Vec<u64>> = swept
-                .results
-                .iter()
-                .map(|r| {
-                    r.ok()
-                        .unwrap_or_else(|| panic!("{}: sweep scenario failed", c.label))
-                        .waveform
-                        .iter()
-                        .map(|v| v.to_bits())
-                        .collect()
-                })
-                .collect();
-            assert_waves_eq(c.label, &format!("sweep/w{workers}"), &waves, &golden);
-
-            let batched = sweep::run_ams_sweep_batched(
-                &engine,
-                &model,
-                &scenarios(&c),
-                LANE_WIDTH,
-                &ScenarioBudget::unlimited(),
-            )
-            .unwrap();
-            let waves: Vec<Vec<u64>> = batched
-                .results
-                .iter()
-                .map(|r| {
-                    r.ok()
-                        .unwrap_or_else(|| panic!("{}: batched sweep scenario failed", c.label))
-                        .waveform
-                        .iter()
-                        .map(|v| v.to_bits())
-                        .collect()
-                })
-                .collect();
-            assert_waves_eq(
-                c.label,
-                &format!("batched-sweep/w{workers}"),
-                &waves,
-                &golden,
-            );
+            for (mode, lane_width) in [("sweep", 1), ("batched-sweep", LANE_WIDTH)] {
+                let tree = ScenarioTree::from(scenarios(&c));
+                let waves = sweep_waveforms(&c, &model, workers, lane_width, &tree, mode);
+                assert_waves_eq(c.label, &format!("{mode}/w{workers}"), &waves, &golden);
+            }
         }
     }
+}
+
+/// `tree` swept on `workers` in lane-blocks of `lane_width`, as waveform
+/// bits in leaf order.
+fn sweep_waveforms(
+    c: &Circuit,
+    model: &Arc<CompiledModel>,
+    workers: usize,
+    lane_width: usize,
+    tree: &ScenarioTree,
+    mode: &str,
+) -> Vec<Vec<u64>> {
+    let options = SweepOptions {
+        lane_width,
+        ..SweepOptions::default()
+    };
+    let engine = SweepEngine::new().workers(workers);
+    let swept = run_ams_sweep(&engine, model, tree, &options, |_| {}).unwrap();
+    swept
+        .results
+        .iter()
+        .map(|r| {
+            r.ok()
+                .unwrap_or_else(|| panic!("{}: {mode} scenario failed", c.label))
+                .waveform
+                .iter()
+                .map(|v| v.to_bits())
+                .collect()
+        })
+        .collect()
 }
 
 /// Each scenario as a two-segment chain (20-step root, 40-step child
@@ -378,38 +364,12 @@ fn tree_sweep_modes_reproduce_the_golden_corpus() {
             .unwrap_or_else(|e| panic!("{}: golden file missing ({e})", path.display()));
         let golden = parse_golden(&text);
 
+        // Chain-split: every path forks once mid-transient. (A flat list,
+        // the depth-1 tree, is the batched sweep mode above.)
+        let tree = chain_split_tree(&c);
         for workers in WORKER_COUNTS {
-            let engine = SweepEngine::new().workers(workers);
-            // Depth-1 conversion: the tree API degenerating to the flat
-            // batched sweep.
-            let flat_tree = sweep::ScenarioTree::from(scenarios(&c));
-            // Chain-split: every path forks once mid-transient.
-            for (mode, tree) in [
-                ("tree-flat", flat_tree),
-                ("tree-split", chain_split_tree(&c)),
-            ] {
-                let swept = run_ams_sweep_tree(
-                    &engine,
-                    &model,
-                    &tree,
-                    LANE_WIDTH,
-                    &ScenarioBudget::unlimited(),
-                )
-                .unwrap();
-                let waves: Vec<Vec<u64>> = swept
-                    .results
-                    .iter()
-                    .map(|r| {
-                        r.ok()
-                            .unwrap_or_else(|| panic!("{}: {mode} scenario failed", c.label))
-                            .waveform
-                            .iter()
-                            .map(|v| v.to_bits())
-                            .collect()
-                    })
-                    .collect();
-                assert_waves_eq(c.label, &format!("{mode}/w{workers}"), &waves, &golden);
-            }
+            let waves = sweep_waveforms(&c, &model, workers, LANE_WIDTH, &tree, "tree-split");
+            assert_waves_eq(c.label, &format!("tree-split/w{workers}"), &waves, &golden);
         }
     }
 }

@@ -1,8 +1,8 @@
-//! Acceptance tests for the recovery ladder (ISSUE 9): recovered
-//! scenarios must be bit-identical to from-`t=0` reruns on the rung's
-//! configuration at any worker count and lane width, the ladder must be
-//! bit-transparent when disabled, and failed scenarios must carry their
-//! attempt trail.
+//! Acceptance tests for the recovery ladder: recovered scenarios must be
+//! bit-identical to from-`t=0` reruns on the rung's configuration at any
+//! worker count and lane width, the ladder must be bit-transparent when
+//! disabled (and on a deep forest, where it acts on childless roots
+//! only), and failed scenarios must carry their attempt trail.
 //!
 //! The injection-driven tests are gated on the `fault-inject` feature
 //! (`cargo test --features fault-inject --test recovery`); the
@@ -14,8 +14,8 @@ use amsim::{AmsError, CompiledModel, RecoveryPolicy, Simulation, StepControl};
 use amsvp_core::circuits::{diode_clamp, PiecewiseConstant, SquareWave};
 use obs::Report;
 use sweep::{
-    run_ams_sweep_batched, run_ams_sweep_recovering, AmsScenario, Recovery, ScenarioBudget,
-    ScenarioOutcome, SweepEngine, SweepOutcome,
+    run_ams_sweep, AmsScenario, Recovery, ScenarioBudget, ScenarioOutcome, ScenarioSegment,
+    ScenarioTree, SweepEngine, SweepOptions, SweepOutcome, TreeScenario,
 };
 
 const DT: f64 = 1e-4;
@@ -32,26 +32,88 @@ fn compile_clamp(kind: amsim::SolverKind) -> Arc<CompiledModel> {
         .unwrap()
 }
 
+fn stim(seed: u64) -> Box<PiecewiseConstant> {
+    Box::new(PiecewiseConstant::seeded(seed, 5, 6.0 * DT, 0.0, 0.8))
+}
+
+fn control() -> Option<StepControl> {
+    Some(StepControl::new(1e-9).max_retries(20))
+}
+
 fn healthy_scenarios() -> Vec<AmsScenario> {
     (0..N)
         .map(|i| AmsScenario {
             name: format!("s{i}"),
-            stim: Box::new(PiecewiseConstant::seeded(
-                i as u64 + 1,
-                5,
-                6.0 * DT,
-                0.0,
-                0.8,
-            )),
+            stim: stim(i as u64 + 1),
             steps: STEPS,
             newton_tol: None,
-            step_control: Some(StepControl::new(1e-9).max_retries(20)),
+            step_control: control(),
         })
         .collect()
 }
 
-#[cfg_attr(not(feature = "fault-inject"), allow(dead_code))]
+/// A deep clamp forest of four leaves: childless roots at leaves 0 and
+/// 3 (whole scenarios, seeded like `healthy_scenarios()[0]` and `[4]`),
+/// and a half-length prefix forking into leaves 1 and 2.
+fn deep_forest() -> ScenarioTree {
+    let seg =
+        |name: &str, seed: u64, steps: usize, children: Vec<ScenarioSegment>| ScenarioSegment {
+            name: name.into(),
+            stim: stim(seed),
+            steps,
+            children,
+        };
+    let root = |segment| TreeScenario {
+        newton_tol: None,
+        step_control: control(),
+        segment,
+    };
+    let forks = vec![
+        seg("fork1", 3, STEPS / 2, vec![]),
+        seg("fork2", 4, STEPS / 2, vec![]),
+    ];
+    ScenarioTree {
+        roots: vec![
+            root(seg("s0", 1, STEPS, vec![])),
+            root(seg("prefix", 2, STEPS / 2, forks)),
+            root(seg("s4", 5, STEPS, vec![])),
+        ],
+    }
+}
+
 type ClampOutcome = SweepOutcome<ScenarioOutcome<sweep::AmsRun, AmsError>>;
+
+/// `tree` swept on `workers` in lane-blocks of `lane_width` under
+/// `budget` and `recovery`.
+fn sweep(
+    model: &Arc<CompiledModel>,
+    workers: usize,
+    lane_width: usize,
+    tree: &ScenarioTree,
+    budget: ScenarioBudget,
+    recovery: Option<&Recovery>,
+) -> ClampOutcome {
+    let options = SweepOptions {
+        lane_width,
+        budget,
+        recovery: recovery.cloned(),
+    };
+    let engine = SweepEngine::new().workers(workers);
+    run_ams_sweep(&engine, model, tree, &options, |_| {}).unwrap()
+}
+
+/// Every leaf's waveform bits, recovered results included; empty for a
+/// leaf with no result.
+fn bits(out: &ClampOutcome) -> Vec<Vec<u64>> {
+    out.results
+        .iter()
+        .map(|r| {
+            r.result()
+                .map(|run| run.waveform.iter().map(|v| v.to_bits()).collect())
+                .unwrap_or_default()
+        })
+        .collect()
+}
 
 /// Merged counters minus the scheduling-dependent `sweep.worker*` family.
 fn stable_counters(report: &Report) -> Vec<(String, u64)> {
@@ -94,13 +156,13 @@ fn reference_run(
 }
 
 /// Disabled ladder (`max_recoveries: 0`) is bit-transparent: results and
-/// merged counters are indistinguishable from the plain batched sweep.
+/// merged counters are indistinguishable from a sweep without recovery.
 #[test]
 fn disabled_ladder_is_bit_transparent() {
     let model = compile_clamp(amsim::SolverKind::Auto);
-    let engine = SweepEngine::new().workers(4);
+    let tree = ScenarioTree::from(healthy_scenarios());
     let budget = ScenarioBudget::unlimited();
-    let plain = run_ams_sweep_batched(&engine, &model, &healthy_scenarios(), 8, &budget).unwrap();
+    let plain = sweep(&model, 4, 8, &tree, budget, None);
     let recovery = Recovery {
         policy: RecoveryPolicy {
             max_recoveries: 0,
@@ -108,9 +170,7 @@ fn disabled_ladder_is_bit_transparent() {
         },
         ..Recovery::default()
     };
-    let laddered =
-        run_ams_sweep_recovering(&engine, &model, &healthy_scenarios(), 8, &budget, &recovery)
-            .unwrap();
+    let laddered = sweep(&model, 4, 8, &tree, budget, Some(&recovery));
 
     assert_eq!(plain.results.len(), laddered.results.len());
     for (a, b) in plain.results.iter().zip(&laddered.results) {
@@ -150,15 +210,15 @@ fn exhausted_ladder_carries_attempt_trail() {
         fallback: Some(compile_clamp(amsim::SolverKind::Dense)),
         ..Recovery::default()
     };
-    let out = run_ams_sweep_recovering(
-        &SweepEngine::new().workers(4),
+    let tree = ScenarioTree::from(scenarios);
+    let out = sweep(
         &model,
-        &scenarios,
+        4,
         8,
-        &ScenarioBudget::unlimited(),
-        &recovery,
-    )
-    .unwrap();
+        &tree,
+        ScenarioBudget::unlimited(),
+        Some(&recovery),
+    );
 
     match &out.results[5] {
         ScenarioOutcome::Failed { error, attempts } => {
@@ -183,6 +243,48 @@ fn exhausted_ladder_carries_attempt_trail() {
     assert_eq!(out.report.counter("recovery.gave_up"), 1);
     assert_eq!(out.report.counter("sweep.scenarios.failed"), 1);
     assert_eq!(out.report.counter("sweep.scenarios.ok"), (N - 1) as u64);
+}
+
+/// Recovery on a deep forest with an empty plan changes no result: the
+/// ladder's periodic checkpoints ride on the two childless roots alone
+/// (four each at cadence 8 over 40 steps), and the prefix and its forks
+/// run as they do without recovery.
+#[test]
+fn recovery_on_a_deep_forest_is_bit_transparent() {
+    let model = compile_clamp(amsim::SolverKind::Auto);
+    let recovery = Recovery {
+        policy: RecoveryPolicy {
+            snapshot_every_n_steps: 8,
+            ..RecoveryPolicy::default()
+        },
+        fallback: Some(compile_clamp(amsim::SolverKind::Dense)),
+        ..Recovery::default()
+    };
+    let tree = deep_forest();
+    let budget = ScenarioBudget::unlimited();
+    for (workers, lanes) in [(1usize, 1usize), (2, 3)] {
+        let tag = format!("{workers} workers × {lanes} lanes");
+        let plain = sweep(&model, workers, lanes, &tree, budget, None);
+        let laddered = sweep(&model, workers, lanes, &tree, budget, Some(&recovery));
+        assert!(plain.results.iter().all(|r| r.is_ok()), "{tag}");
+        assert!(laddered.results.iter().all(|r| r.is_ok()), "{tag}");
+        assert_eq!(bits(&plain), bits(&laddered), "{tag}: waveform bits");
+        for (a, b) in plain.results.iter().zip(&laddered.results) {
+            assert_eq!(a.ok().unwrap().newton_iters, b.ok().unwrap().newton_iters);
+        }
+        for key in ["amsim.steps", "amsim.newton_iterations"] {
+            assert_eq!(
+                plain.report.counter(key),
+                laddered.report.counter(key),
+                "{tag}: counter `{key}`"
+            );
+        }
+        assert_eq!(
+            laddered.report.counter("amsim.snapshot.taken"),
+            plain.report.counter("amsim.snapshot.taken") + 8,
+            "{tag}: checkpoints on childless roots only"
+        );
+    }
 }
 
 #[cfg(feature = "fault-inject")]
@@ -244,15 +346,9 @@ mod injected {
             ..Recovery::default()
         };
         let scenarios: Vec<AmsScenario> = healthy_scenarios().into_iter().take(4).collect();
-        let out = run_ams_sweep_recovering(
-            &SweepEngine::new().workers(1),
-            &model,
-            &scenarios,
-            4,
-            &ScenarioBudget::unlimited().max_wall(0.15),
-            &recovery,
-        )
-        .unwrap();
+        let tree = ScenarioTree::from(scenarios);
+        let budget = ScenarioBudget::unlimited().max_wall(0.15);
+        let out = sweep(&model, 1, 4, &tree, budget, Some(&recovery));
         match &out.results[0] {
             ScenarioOutcome::Budget(b) => {
                 assert_eq!(b.max_wall, Some(0.15));
@@ -308,18 +404,12 @@ mod injected {
         restart_at: &[usize],
     ) -> Vec<(usize, usize, ClampOutcome)> {
         let policy = recovery.policy;
+        let tree = ScenarioTree::from(healthy_scenarios());
         let mut runs: Vec<(usize, usize, ClampOutcome)> = Vec::new();
         for w in [1usize, 2, 8] {
             for lanes in [1usize, 8] {
-                let out = run_ams_sweep_recovering(
-                    &SweepEngine::new().workers(w),
-                    model,
-                    &healthy_scenarios(),
-                    lanes,
-                    &ScenarioBudget::unlimited(),
-                    recovery,
-                )
-                .unwrap();
+                let budget = ScenarioBudget::unlimited();
+                let out = sweep(model, w, lanes, &tree, budget, Some(recovery));
                 runs.push((w, lanes, out));
             }
         }
@@ -364,16 +454,6 @@ mod injected {
         // Scheduling independence: every (workers × lanes) combination
         // agrees bit-for-bit on results and on the merged counters.
         let (_, _, first) = &runs[0];
-        let bits = |out: &ClampOutcome| -> Vec<Vec<u64>> {
-            out.results
-                .iter()
-                .map(|r| {
-                    r.result()
-                        .map(|run| run.waveform.iter().map(|v| v.to_bits()).collect())
-                        .unwrap_or_default()
-                })
-                .collect()
-        };
         for (w, lanes, out) in &runs[1..] {
             assert_eq!(
                 bits(first),
@@ -465,6 +545,98 @@ mod injected {
                 .map(|i| out.report.counter(&format!("sweep.worker.{i}.scenarios")))
                 .sum();
             assert_eq!(per_worker, N as u64, "{tag}: scenario conservation");
+        }
+    }
+
+    /// On a deep forest the plan fires on childless roots only. Leaf 0
+    /// (a whole scenario) faults past its first checkpoint and resumes,
+    /// leaf 3 panics before it and restarts, both bit-identical to the
+    /// from-`t=0` rerun; the target on leaf 1, which lies under a fork,
+    /// never fires, so that leaf comes back `Ok` and equal to the
+    /// unplanned run.
+    #[test]
+    fn planned_faults_fire_on_childless_roots_only() {
+        let model = compile_clamp(amsim::SolverKind::Auto);
+        let policy = RecoveryPolicy {
+            snapshot_every_n_steps: 8,
+            ..RecoveryPolicy::default()
+        };
+        let plan = FaultPlan::new()
+            .target(
+                0,
+                FaultSpec {
+                    kind: FaultKind::ResidualNan,
+                    step: 13,
+                },
+            )
+            .target(
+                1,
+                FaultSpec {
+                    kind: FaultKind::RefactorSingular,
+                    step: 5,
+                },
+            )
+            .target(
+                3,
+                FaultSpec {
+                    kind: FaultKind::StimulusPanic,
+                    step: 2,
+                },
+            );
+        let recovery = Recovery {
+            policy,
+            plan,
+            ..Recovery::default()
+        };
+        let tree = deep_forest();
+        let budget = ScenarioBudget::unlimited();
+        let unplanned = sweep(&model, 1, 1, &tree, budget, None);
+        let scenarios = healthy_scenarios();
+        for (workers, lanes) in [(1usize, 1usize), (2, 3), (2, 8)] {
+            let tag = format!("{workers} workers × {lanes} lanes");
+            let out = sweep(&model, workers, lanes, &tree, budget, Some(&recovery));
+            for (leaf, rung, scenario) in [
+                (0, RecoveryRung::Resume, &scenarios[0]),
+                (3, RecoveryRung::Restart, &scenarios[4]),
+            ] {
+                match &out.results[leaf] {
+                    ScenarioOutcome::Recovered {
+                        result, rung: r, ..
+                    } => {
+                        assert_eq!(*r, rung, "{tag}: rung at leaf {leaf}");
+                        let got: Vec<u64> = result.waveform.iter().map(|v| v.to_bits()).collect();
+                        assert_eq!(got, reference_run(&model, scenario, &policy), "{tag}");
+                    }
+                    other => panic!("{tag}: leaf {leaf}: want Recovered, got {other:?}"),
+                }
+            }
+            for leaf in [1, 2] {
+                assert!(
+                    out.results[leaf].is_ok(),
+                    "{tag}: leaf {leaf} under the fork"
+                );
+                assert_eq!(
+                    bits(&out)[leaf],
+                    bits(&unplanned)[leaf],
+                    "{tag}: leaf {leaf}"
+                );
+            }
+            assert_eq!(
+                out.report.counter("fault.injected.residual_nan"),
+                1,
+                "{tag}"
+            );
+            assert_eq!(
+                out.report.counter("fault.injected.stimulus_panic"),
+                1,
+                "{tag}"
+            );
+            assert_eq!(
+                out.report.counter("fault.injected.refactor_singular"),
+                0,
+                "{tag}"
+            );
+            assert_eq!(out.report.counter("sweep.scenarios.recovered"), 2, "{tag}");
         }
     }
 }

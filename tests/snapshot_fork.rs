@@ -17,9 +17,24 @@ use amsvp_core::circuits::{diode_clamp, opamp, rc_ladder, PiecewiseConstant, Sti
 use linalg::SolverKind;
 use obs::Obs;
 use sweep::{
-    run_ams_sweep_batched, run_ams_sweep_tree, AmsScenario, ScenarioBudget, ScenarioSegment,
-    ScenarioTree, SweepEngine, TreeScenario,
+    run_ams_sweep, AmsScenario, ScenarioSegment, ScenarioTree, SweepEngine, SweepOptions,
+    TreeScenario,
 };
+
+/// `tree` swept on `workers` in lane-blocks of `lane_width`.
+fn sweep(
+    model: &Arc<CompiledModel>,
+    workers: usize,
+    lane_width: usize,
+    tree: &ScenarioTree,
+) -> sweep::SweepOutcome<sweep::ScenarioOutcome<sweep::AmsRun, amsim::AmsError>> {
+    let options = SweepOptions {
+        lane_width,
+        ..SweepOptions::default()
+    };
+    let engine = SweepEngine::new().workers(workers);
+    run_ams_sweep(&engine, model, tree, &options, |_| {}).unwrap()
+}
 
 const STEPS: usize = 48;
 
@@ -308,11 +323,11 @@ fn conservation_fixture() -> (Arc<CompiledModel>, ScenarioTree, Vec<AmsScenario>
 #[test]
 fn tree_sweep_conserves_amsim_counters_across_worker_counts() {
     let (model, tree, flat) = conservation_fixture();
-    let budget = ScenarioBudget::unlimited();
+    let flat = ScenarioTree::from(flat);
+    let reference = sweep(&model, 1, 4, &tree);
     for workers in [1usize, 2, 8] {
-        let engine = SweepEngine::new().workers(workers);
-        let flat_out = run_ams_sweep_batched(&engine, &model, &flat, 4, &budget).unwrap();
-        let tree_out = run_ams_sweep_tree(&engine, &model, &tree, 4, &budget).unwrap();
+        let flat_out = sweep(&model, workers, 4, &flat);
+        let tree_out = sweep(&model, workers, 4, &tree);
 
         // The tree simulated the prefix once; adding back the steps it
         // saved must land exactly on the flat sweep's step count.
@@ -339,10 +354,7 @@ fn tree_sweep_conserves_amsim_counters_across_worker_counts() {
         ] {
             assert_eq!(
                 tree_out.report.counter(counter),
-                run_ams_sweep_tree(&SweepEngine::new().workers(1), &model, &tree, 4, &budget)
-                    .unwrap()
-                    .report
-                    .counter(counter),
+                reference.report.counter(counter),
                 "w{workers}: counter `{counter}` varies with scheduling"
             );
         }
@@ -413,10 +425,8 @@ fn rc500_sparse_fork_parity() {
         })
         .collect();
 
-    let engine = SweepEngine::new().workers(2);
-    let budget = ScenarioBudget::unlimited();
-    let flat_out = run_ams_sweep_batched(&engine, &model, &flat, 2, &budget).unwrap();
-    let tree_out = run_ams_sweep_tree(&engine, &model, &tree, 2, &budget).unwrap();
+    let flat_out = sweep(&model, 2, 2, &ScenarioTree::from(flat));
+    let tree_out = sweep(&model, 2, 2, &tree);
     for (i, (f, t)) in flat_out.results.iter().zip(&tree_out.results).enumerate() {
         let (f, t) = (f.ok().unwrap(), t.ok().unwrap());
         assert_eq!(f.name, t.name, "leaf {i}");

@@ -12,8 +12,8 @@ use amsim::{CompiledModel, Simulation, SolverKind, StepControl};
 use amsvp_core::circuits::{diode_clamp, rc_ladder, PiecewiseConstant};
 use obs::{Obs, Report};
 use sweep::{
-    run_ams_sweep, run_ams_sweep_batched, AmsScenario, ScenarioBudget, ScenarioOutcome,
-    SweepEngine, SweepOutcome,
+    run_ams_sweep, AmsScenario, ScenarioOutcome, ScenarioTree, SweepEngine, SweepOptions,
+    SweepOutcome,
 };
 
 const DIODE: &str = "module dio(in, out);
@@ -82,6 +82,29 @@ fn solver_counters(report: &Report) -> Vec<(String, u64)> {
 
 type AmsOutcome = SweepOutcome<ScenarioOutcome<sweep::AmsRun, amsim::AmsError>>;
 
+/// `scenarios` swept on `workers` in lane-blocks of `lane_width`; width 1
+/// is the scalar path, one scenario per Newton solve.
+fn sweep(
+    model: &Arc<CompiledModel>,
+    workers: usize,
+    lane_width: usize,
+    scenarios: Vec<AmsScenario>,
+) -> AmsOutcome {
+    let options = SweepOptions {
+        lane_width,
+        ..SweepOptions::default()
+    };
+    let engine = SweepEngine::new().workers(workers);
+    run_ams_sweep(
+        &engine,
+        model,
+        &ScenarioTree::from(scenarios),
+        &options,
+        |_| {},
+    )
+    .unwrap()
+}
+
 fn waveform_bits(outcome: &AmsOutcome) -> Vec<Vec<u64>> {
     outcome
         .results
@@ -102,16 +125,7 @@ fn worker_count_never_changes_results() {
         let model = compile(&source, dt);
         let runs: Vec<AmsOutcome> = [1usize, 2, 8]
             .into_iter()
-            .map(|w| {
-                let engine = SweepEngine::new().workers(w);
-                run_ams_sweep(
-                    &engine,
-                    &model,
-                    &scenarios(12, steps, 40.0 * dt, hi),
-                    &ScenarioBudget::unlimited(),
-                )
-                .unwrap()
-            })
+            .map(|w| sweep(&model, w, 1, scenarios(12, steps, 40.0 * dt, hi)))
             .collect();
 
         let reference_waves = waveform_bits(&runs[0]);
@@ -146,14 +160,7 @@ fn model_is_compiled_once_no_matter_the_sweep_size() {
             .collector(obs.clone())
             .compile()
             .unwrap();
-        let engine = SweepEngine::new().workers(4);
-        let out = run_ams_sweep(
-            &engine,
-            &model,
-            &scenarios(n_scenarios, 50, 2e-5, 1.0),
-            &ScenarioBudget::unlimited(),
-        )
-        .unwrap();
+        let out = sweep(&model, 4, 1, scenarios(n_scenarios, 50, 2e-5, 1.0));
         let mut merged = obs.report().unwrap();
         merged.merge(&out.report);
         merged.counter("amsim.jacobian.builds")
@@ -168,8 +175,8 @@ fn model_is_compiled_once_no_matter_the_sweep_size() {
 }
 
 /// Determinism must survive the sparse backend: a 30-stage ladder (150
-/// unknowns, which `Auto` resolves sparse) swept scalar and 8-lane-batched
-/// at 1/2/8 workers produces one bit-exact answer. The sparse pivot
+/// unknowns, which `Auto` resolves sparse) swept in one-lane (scalar) and
+/// 8-lane blocks at 1/2/8 workers produces one bit-exact answer. The sparse pivot
 /// sequence and fill pattern are frozen per compiled model, so neither
 /// lane packing nor scheduling can perturb the elimination order.
 #[test]
@@ -182,22 +189,15 @@ fn sparse_backend_sweeps_are_deterministic() {
     );
     // 12 scenarios over 8-wide lanes: one full lane block plus an uneven
     // 4-lane remainder.
-    let scen = scenarios(12, 100, 25e-3, 1.0);
+    let scen = || scenarios(12, 100, 25e-3, 1.0);
 
-    let reference = run_ams_sweep(
-        &SweepEngine::new().workers(1),
-        &model,
-        &scen,
-        &ScenarioBudget::unlimited(),
-    )
-    .unwrap();
+    let reference = sweep(&model, 1, 1, scen());
     let reference_waves = waveform_bits(&reference);
     let reference_counters = solver_counters(&reference.report);
     assert_ne!(reference_waves[0], reference_waves[1]);
 
     for workers in [1usize, 2, 8] {
-        let engine = SweepEngine::new().workers(workers);
-        let scalar = run_ams_sweep(&engine, &model, &scen, &ScenarioBudget::unlimited()).unwrap();
+        let scalar = sweep(&model, workers, 1, scen());
         assert_eq!(
             waveform_bits(&scalar),
             reference_waves,
@@ -209,8 +209,7 @@ fn sparse_backend_sweeps_are_deterministic() {
             "sparse solver counters at {workers} workers drifted"
         );
 
-        let batched =
-            run_ams_sweep_batched(&engine, &model, &scen, 8, &ScenarioBudget::unlimited()).unwrap();
+        let batched = sweep(&model, workers, 8, scen());
         assert_eq!(
             waveform_bits(&batched),
             reference_waves,
@@ -227,17 +226,10 @@ fn sparse_backend_sweeps_are_deterministic() {
 /// none.
 #[test]
 fn factorization_backend_conserves_solver_counters() {
-    let scen = scenarios(8, 100, 25e-3, 1.0);
     let run = |kind: SolverKind| {
         let model = compile_with(&rc_ladder(30), 1e-3, kind);
         assert_eq!(model.solver_kind(), kind);
-        run_ams_sweep(
-            &SweepEngine::new().workers(2),
-            &model,
-            &scen,
-            &ScenarioBudget::unlimited(),
-        )
-        .unwrap()
+        sweep(&model, 2, 1, scenarios(8, 100, 25e-3, 1.0))
     };
     let dense = run(SolverKind::Dense);
     let sparse = run(SolverKind::Sparse);

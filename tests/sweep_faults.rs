@@ -10,8 +10,8 @@ use amsim::{AmsError, CompiledModel, Simulation, StepControl};
 use amsvp_core::circuits::{diode_clamp, PiecewiseConstant, SquareWave, Stimulus};
 use obs::Report;
 use sweep::{
-    run_ams_sweep, run_ams_sweep_batched, AmsScenario, ScenarioBudget, ScenarioOutcome,
-    SweepEngine, SweepOutcome,
+    run_ams_sweep, AmsScenario, ScenarioBudget, ScenarioOutcome, ScenarioTree, SweepEngine,
+    SweepOptions, SweepOutcome,
 };
 
 const DT: f64 = 1e-4;
@@ -86,6 +86,30 @@ fn scenarios() -> Vec<AmsScenario> {
 
 type ClampOutcome = SweepOutcome<ScenarioOutcome<sweep::AmsRun, AmsError>>;
 
+/// `scenarios` swept on `workers` in lane-blocks of `lane_width` under
+/// `budget`.
+fn sweep(
+    workers: usize,
+    lane_width: usize,
+    budget: ScenarioBudget,
+    scenarios: Vec<AmsScenario>,
+) -> ClampOutcome {
+    let options = SweepOptions {
+        lane_width,
+        budget,
+        recovery: None,
+    };
+    let engine = SweepEngine::new().workers(workers);
+    run_ams_sweep(
+        &engine,
+        &compile_clamp(),
+        &ScenarioTree::from(scenarios),
+        &options,
+        |_| {},
+    )
+    .unwrap()
+}
+
 fn ok_waveform_bits(out: &ClampOutcome) -> Vec<(usize, Vec<u64>)> {
     out.results
         .iter()
@@ -109,20 +133,12 @@ fn stable_counters(report: &Report) -> Vec<(String, u64)> {
         .collect()
 }
 
+/// One-lane blocks: each scenario alone on the scalar path.
 #[test]
 fn two_faults_sixty_two_survivors_any_worker_count() {
-    let model = compile_clamp();
     let runs: Vec<ClampOutcome> = [1usize, 2, 8]
         .into_iter()
-        .map(|w| {
-            run_ams_sweep(
-                &SweepEngine::new().workers(w),
-                &model,
-                &scenarios(),
-                &ScenarioBudget::unlimited(),
-            )
-            .unwrap()
-        })
+        .map(|w| sweep(w, 1, ScenarioBudget::unlimited(), scenarios()))
         .collect();
 
     for (run, w) in runs.iter().zip([1usize, 2, 8]) {
@@ -180,29 +196,13 @@ fn batched_two_faults_retire_only_their_lanes_any_worker_count() {
     // Same 64 scenarios through the lane-batched engine: the panicking
     // stimulus and the divergent fixed-dt run each land *inside* an
     // 8-lane block, and must retire only their own lane — the blocks'
-    // sibling lanes finish with waveforms bit-identical to the scalar
-    // sweep, for any worker count.
+    // sibling lanes finish with waveforms bit-identical to the one-lane
+    // (scalar) sweep, for any worker count.
     const LANE_WIDTH: usize = 8;
-    let model = compile_clamp();
-    let scalar = run_ams_sweep(
-        &SweepEngine::new().workers(1),
-        &model,
-        &scenarios(),
-        &ScenarioBudget::unlimited(),
-    )
-    .unwrap();
+    let scalar = sweep(1, 1, ScenarioBudget::unlimited(), scenarios());
     let runs: Vec<ClampOutcome> = [1usize, 2, 8]
         .into_iter()
-        .map(|w| {
-            run_ams_sweep_batched(
-                &SweepEngine::new().workers(w),
-                &model,
-                &scenarios(),
-                LANE_WIDTH,
-                &ScenarioBudget::unlimited(),
-            )
-            .unwrap()
-        })
+        .map(|w| sweep(w, LANE_WIDTH, ScenarioBudget::unlimited(), scenarios()))
         .collect();
 
     for (run, w) in runs.iter().zip([1usize, 2, 8]) {
@@ -252,14 +252,18 @@ fn batched_two_faults_retire_only_their_lanes_any_worker_count() {
         assert_eq!(ok_waveform_bits(run), scalar_waves);
     }
 
-    // Solver-work conservation against the scalar sweep: every counter
-    // the scalar path emits (amsim.* families, fault tallies) must come
-    // out of the batched sweep unchanged — batching only regroups the
-    // arithmetic. The batched report additionally carries the
-    // amsim.batch.* / sweep.batch.* families, checked above.
+    // Solver-work conservation against the one-lane sweep: every
+    // counter outside the blocking-structure families (amsim.* solver
+    // work, fault tallies) must come out of the batched sweep unchanged —
+    // batching only regroups the arithmetic. `sweep.batch.blocks` and
+    // `amsim.batch.masked_iterations` follow the lane width, checked
+    // above.
     let scalar_counters = stable_counters(&scalar.report);
     for (run, w) in runs.iter().zip([1usize, 2, 8]) {
-        for (key, want) in &scalar_counters {
+        for (key, want) in scalar_counters
+            .iter()
+            .filter(|(k, _)| k != "sweep.batch.blocks" && k != "amsim.batch.masked_iterations")
+        {
             assert_eq!(
                 run.report.counter(key),
                 *want,
@@ -295,7 +299,6 @@ fn batched_wall_budget_charges_each_lane_from_its_own_account() {
     // solve time split over the lanes that entered the solve), so a slow
     // sibling must not consume a healthy lane's budget. Under the old
     // shared-block clock both lanes would have come back as Budget.
-    let model = compile_clamp();
     let ctrl = Some(StepControl::new(1e-9).max_retries(20));
     let scenarios = vec![
         AmsScenario {
@@ -313,14 +316,7 @@ fn batched_wall_budget_charges_each_lane_from_its_own_account() {
             step_control: ctrl,
         },
     ];
-    let out = run_ams_sweep_batched(
-        &SweepEngine::new().workers(1),
-        &model,
-        &scenarios,
-        2,
-        &ScenarioBudget::unlimited().max_wall(0.15),
-    )
-    .unwrap();
+    let out = sweep(1, 2, ScenarioBudget::unlimited().max_wall(0.15), scenarios);
     match &out.results[0] {
         ScenarioOutcome::Budget(b) => {
             assert_eq!(b.max_wall, Some(0.15), "slow lane trips the wall cap");
@@ -340,7 +336,6 @@ fn batched_wall_budget_charges_each_lane_from_its_own_account() {
 
 #[test]
 fn step_budget_records_typed_outcome() {
-    let model = compile_clamp();
     // Healthy scenarios only, but a cap below the per-scenario step
     // count: every slot must come back as a Budget record, tripped on
     // the first tick past the cap.
@@ -360,13 +355,7 @@ fn step_budget_records_typed_outcome() {
             step_control: Some(StepControl::new(1e-9).max_retries(20)),
         })
         .collect();
-    let out = run_ams_sweep(
-        &SweepEngine::new().workers(2),
-        &model,
-        &scenarios,
-        &ScenarioBudget::unlimited().max_steps(cap),
-    )
-    .unwrap();
+    let out = sweep(2, 1, ScenarioBudget::unlimited().max_steps(cap), scenarios);
     assert_eq!(out.report.counter("sweep.scenarios.budget"), 4);
     for (i, r) in out.results.iter().enumerate() {
         match r {

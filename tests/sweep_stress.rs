@@ -1,15 +1,21 @@
-//! Stress the sweep pool: many more scenarios than workers, and scenario
+//! Stress the sweep pool: many more scenarios than workers, and block
 //! bodies short enough that workers race on the job queue constantly.
-//! Every scenario must run exactly once and land in its slot, and every
-//! path onto the pool must keep every worker busy.
+//! Every scenario must run exactly once and land in its slot, and both
+//! paths onto the pool must keep every worker busy.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use amsvp_core::circuits::{rc_ladder, PiecewiseConstant};
 use obs::{Obs, Report};
-use sweep::{
-    run_ams_sweep, run_ams_sweep_batched, AmsScenario, ScenarioBudget, SweepEngine, SweepFault,
-};
+use sweep::{run_ams_sweep, AmsScenario, ScenarioTree, SweepEngine, SweepOptions};
+
+/// Options for one-lane blocks: one scenario per pool job.
+fn one_lane() -> SweepOptions {
+    SweepOptions {
+        lane_width: 1,
+        ..SweepOptions::default()
+    }
+}
 
 #[test]
 fn two_hundred_scenarios_none_lost_none_duplicated() {
@@ -19,11 +25,15 @@ fn two_hundred_scenarios_none_lost_none_duplicated() {
     let scenarios: Vec<u64> = (0..N as u64).collect();
     let executions = AtomicU64::new(0);
 
-    let out = engine.run_isolated(&scenarios, &ScenarioBudget::unlimited(), |ctx, s| {
+    // One-scenario blocks: every scenario is a pool job of its own.
+    let out = engine.run_batched(&scenarios, 1, |obs, block| {
         executions.fetch_add(1, Ordering::Relaxed);
-        ctx.obs.add("stress.runs", 1);
+        obs.add("stress.runs", 1);
         // Tiny but non-trivial body: keep the queue contended.
-        Ok::<_, SweepFault<()>>((0..*s % 7).sum::<u64>() + s * 3)
+        block
+            .iter()
+            .map(|s| (0..*s % 7).sum::<u64>() + s * 3)
+            .collect()
     });
 
     assert_eq!(executions.load(Ordering::Relaxed), N as u64);
@@ -31,8 +41,8 @@ fn two_hundred_scenarios_none_lost_none_duplicated() {
     for (i, r) in out.results.iter().enumerate() {
         let s = i as u64;
         assert_eq!(
-            r.ok(),
-            Some(&((0..s % 7).sum::<u64>() + s * 3)),
+            *r,
+            (0..s % 7).sum::<u64>() + s * 3,
             "slot {i} holds the wrong result"
         );
     }
@@ -46,7 +56,7 @@ fn two_hundred_scenarios_none_lost_none_duplicated() {
         per_worker, N as u64,
         "per-worker tallies must cover every scenario"
     );
-    assert_eq!(out.report.timers["sweep.scenario"].count, N as u64);
+    assert_eq!(out.report.timers["sweep.block"].count, N as u64);
 }
 
 #[test]
@@ -71,8 +81,9 @@ fn stress_with_real_instances_keeps_slots_straight() {
     let out = run_ams_sweep(
         &SweepEngine::new().workers(8),
         &model,
-        &scenarios,
-        &ScenarioBudget::unlimited(),
+        &ScenarioTree::from(scenarios),
+        &one_lane(),
+        |_| {},
     )
     .unwrap();
     assert_eq!(out.results.len(), 200);
@@ -89,12 +100,12 @@ fn stress_with_real_instances_keeps_slots_straight() {
     assert_eq!(out.report.counter("amsim.steps"), 200 * 12);
 }
 
-/// A 16-scenario RC1 tolerance sweep on 4 workers, run three ways onto
-/// the pool: per scenario (`run_ams_sweep`), as a depth-1 forest of
-/// one-lane blocks (`run_ams_sweep_batched`), and as one-scenario blocks
-/// of a generic body (`SweepEngine::run_batched`). Worker *w* starts on
-/// job *w*, so with 16 jobs every worker runs at least one on every path;
-/// the model is compiled once however many scenarios run.
+/// A 16-scenario RC1 tolerance sweep on 4 workers, run both ways onto
+/// the pool: as a depth-1 forest of one-lane blocks (`run_ams_sweep`),
+/// and as one-scenario blocks of a generic body
+/// (`SweepEngine::run_batched`). Worker *w* starts on job *w*, so with 16
+/// jobs every worker runs at least one on both paths; the model is
+/// compiled once however many scenarios run.
 #[test]
 fn every_pool_path_keeps_every_worker_busy_and_compiles_once() {
     const SCENARIOS: usize = 16;
@@ -110,17 +121,18 @@ fn every_pool_path_keeps_every_worker_busy_and_compiles_once() {
         .compile()
         .unwrap();
     let compile = compile_obs.report().unwrap();
-    let scenarios: Vec<AmsScenario> = (0..SCENARIOS)
-        .map(|i| AmsScenario {
-            name: format!("rc1/{i}"),
-            stim: Box::new(PiecewiseConstant::seeded(i as u64 + 1, 5, 5e-5, 0.0, 1.0)),
-            steps: STEPS,
-            newton_tol: Some(if i % 2 == 0 { 1e-10 } else { 1e-7 }),
-            step_control: None,
-        })
-        .collect();
+    let scenarios = || -> Vec<AmsScenario> {
+        (0..SCENARIOS)
+            .map(|i| AmsScenario {
+                name: format!("rc1/{i}"),
+                stim: Box::new(PiecewiseConstant::seeded(i as u64 + 1, 5, 5e-5, 0.0, 1.0)),
+                steps: STEPS,
+                newton_tol: Some(if i % 2 == 0 { 1e-10 } else { 1e-7 }),
+                step_control: None,
+            })
+            .collect()
+    };
     let engine = SweepEngine::new().workers(WORKERS);
-    let budget = ScenarioBudget::unlimited();
     let check = |path: &str, report: &Report| {
         let mut merged = compile.clone();
         merged.merge(report);
@@ -148,21 +160,17 @@ fn every_pool_path_keeps_every_worker_busy_and_compiles_once() {
         );
     };
 
-    let scalar = run_ams_sweep(&engine, &model, &scenarios, &budget).unwrap();
-    assert_eq!(scalar.results.len(), SCENARIOS);
-    assert!(scalar.results.iter().all(|r| r.is_ok()));
-    assert_eq!(
-        scalar.report.timers["sweep.scenario"].count,
-        SCENARIOS as u64
-    );
-    check("run_ams_sweep", &scalar.report);
-
-    let forest = run_ams_sweep_batched(&engine, &model, &scenarios, 1, &budget).unwrap();
+    let tree = ScenarioTree::from(scenarios());
+    let forest = run_ams_sweep(&engine, &model, &tree, &one_lane(), |_| {}).unwrap();
+    assert_eq!(forest.results.len(), SCENARIOS);
     assert_eq!(
         forest.report.counter("sweep.scenarios.ok"),
         SCENARIOS as u64
     );
-    check("run_ams_sweep_batched", &forest.report);
+    assert_eq!(forest.report.timers["sweep.block"].count, SCENARIOS as u64);
+    check("run_ams_sweep", &forest.report);
+
+    let scenarios = scenarios();
 
     let blocks = engine.run_batched(&scenarios, 1, |obs, block| {
         block
@@ -181,7 +189,7 @@ fn every_pool_path_keeps_every_worker_busy_and_compiles_once() {
             })
             .collect()
     });
-    for (i, (y, r)) in blocks.results.iter().zip(&scalar.results).enumerate() {
+    for (i, (y, r)) in blocks.results.iter().zip(&forest.results).enumerate() {
         let last = r.ok().unwrap().waveform.last().unwrap();
         assert_eq!(y.to_bits(), last.to_bits(), "scenario {i}");
     }
